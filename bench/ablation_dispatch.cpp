@@ -1,5 +1,5 @@
 // Front-end dispatch ablation: every dispatch strategy (general pipeline,
-// stable counting/radix, unstable counting — plus the adaptive selector) on
+// stable counting/radix — plus the adaptive selector) on
 // the paper's Table 1 distributions, in both key forms: pre-hashed (the
 // paper's inputs — the domain probe must reject and fall back) and raw
 // underlying keys (small dense integer domains — the counting paths' home
@@ -52,8 +52,7 @@ int main(int argc, char** argv) {
   std::string key_filter = args.get_string("keys", "");
   bool scale = !args.has("noscale");
 
-  print_context("Ablation: front-end dispatch (general / counting / unstable)",
-                n);
+  print_context("Ablation: front-end dispatch (general / counting)", n);
 
   struct path_case {
     semisort_params::dispatch_strategy strategy;
@@ -62,7 +61,6 @@ int main(int argc, char** argv) {
   constexpr path_case kPaths[] = {
       {semisort_params::dispatch_strategy::general, "general"},
       {semisort_params::dispatch_strategy::counting, "counting"},
-      {semisort_params::dispatch_strategy::unstable, "unstable"},
       {semisort_params::dispatch_strategy::adaptive, "adaptive"},
   };
   constexpr const char* kKeyForms[] = {"hashed", "raw"};

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -82,16 +83,23 @@ double time_min(int reps, F&& fn) {
 }
 
 // One timed semisort; returns min seconds over reps and (optionally) fills
-// stats from the last repetition.
+// stats from one extra untimed call. The timed reps run with stats off:
+// collecting them costs a shared atomic per record on the CAS path.
 inline double time_semisort(const std::vector<record>& in, int reps,
                             semisort_stats* stats = nullptr,
                             semisort_params params = {}) {
   std::vector<record> out(in.size());
-  params.stats = stats;
-  return time_min(reps, [&] {
+  params.stats = nullptr;
+  double best = time_min(reps, [&] {
     semisort_hashed(std::span<const record>(in), std::span<record>(out),
                     record_key{}, params);
   });
+  if (stats != nullptr) {
+    params.stats = stats;
+    semisort_hashed(std::span<const record>(in), std::span<record>(out),
+                    record_key{}, params);
+  }
+  return best;
 }
 
 // The paper's radix-sort comparator: the same PBBS-style radix sort used in
@@ -144,7 +152,15 @@ inline scatter_pack_times time_scatter_pack(const std::vector<record>& in,
   scatter_pack_times best{1e100, 1e100};
   for (int r = 0; r < reps; ++r) {
     timer t;
-    parallel_for(0, n, [&](size_t i) { tmp[base.ith_below(i, n)] = in[i]; });
+    // Colliding writes are part of the baseline; relaxed atomic stores keep
+    // them race-free without adding a read-modify-write.
+    parallel_for(0, n, [&](size_t i) {
+      record& slot = tmp[base.ith_below(i, n)];
+      std::atomic_ref<uint64_t>(slot.key).store(in[i].key,
+                                                std::memory_order_relaxed);
+      std::atomic_ref<uint64_t>(slot.payload)
+          .store(in[i].payload, std::memory_order_relaxed);
+    });
     best.scatter = std::min(best.scatter, t.lap());
     parallel_for_blocks(n, 1 << 16, [&](size_t, size_t lo, size_t hi) {
       std::copy(tmp.data() + lo, tmp.data() + hi, out.data() + lo);
@@ -248,8 +264,7 @@ class bench_json {
     }
     // Nested metric map, built with the same field API. An empty map
     // renders as `{}` — valid JSON — so path-conditional metric groups
-    // (probe stats on the CAS path, flush stats on the buffered path) can
-    // be emitted unconditionally.
+    // (probe stats on the CAS path) can be emitted unconditionally.
     row& field_object(const char* key, const row& obj) {
       add_key(key);
       body_ += '{';
@@ -258,9 +273,9 @@ class bench_json {
       return *this;
     }
     // The memory plan and scatter telemetry of one semisort run. The probe
-    // and flush metric maps are emitted only for the path they describe
-    // (empty `{}` otherwise), keeping the table2/table3 breakdown sidecars
-    // meaningful whatever path the run selected.
+    // metric map is emitted only for the CAS path (empty `{}` otherwise),
+    // keeping the table2/table3 breakdown sidecars meaningful whatever path
+    // the run selected.
     row& stats(const semisort_stats& s) {
       field("restarts", s.restarts);
       field("peak_scratch_bytes", s.peak_scratch_bytes);
@@ -268,7 +283,6 @@ class bench_json {
       field("scratch_capacity_bytes", s.scratch_capacity_bytes);
       field("slots_per_record", s.slots_per_record());
       field("scatter_path", std::string(to_string(s.scatter_path_used)));
-      field("scatter_atomics_saved", s.scatter_atomics_saved);
       field("dispatch_path", std::string(to_string(s.dispatch_path_used)));
       // Execution-model telemetry: a non-zero fallback count means the run
       // was silently serialized (foreign caller, no pool routing).
@@ -283,16 +297,6 @@ class bench_json {
                           s.probe_hist.size());
       }
       field_object("probe", probe);
-      row buffered;
-      if (s.scatter_path_used == scatter_path::buffered) {
-        buffered.field("flushes", s.scatter_flushes);
-        buffered.field("chunk_claims", s.scatter_chunk_claims);
-        buffered.field("bytes_staged", s.scatter_bytes_staged);
-        buffered.field("mean_flush_records", s.mean_flush_records());
-        buffered.field_array("flush_hist", s.flush_hist.data(),
-                             s.flush_hist.size());
-      }
-      field_object("buffered", buffered);
       // Out-of-core telemetry: emitted whenever the run went through the
       // budget-aware front door (shards >= 1); `{}` for legacy stats that
       // never saw the shard driver.
@@ -315,8 +319,7 @@ class bench_json {
       // Mirrors the flat legacy keys (scatter_path, dispatch_path,
       // key_domain_width, shard.shards) as nested plan{} and adds the
       // plan-only facts: probe accounting (the single-probe contract),
-      // reuse, the predicted bucket count, and the spill-overlap decision
-      // plus how many prefetches actually overlapped.
+      // reuse, and the predicted bucket count.
       row plan_obj;
       plan_obj.field("reused", s.plan.reused ? 1 : 0);
       plan_obj.field("probe_passes", s.plan.probe_passes);
@@ -327,8 +330,6 @@ class bench_json {
       plan_obj.field("predicted_buckets", s.plan.predicted_buckets);
       plan_obj.field("shards", s.plan.shards);
       plan_obj.field("memory_budget", s.plan.memory_budget);
-      plan_obj.field("overlap_io", s.plan.overlap_io ? 1 : 0);
-      plan_obj.field("overlapped_prefetches", s.overlapped_prefetches);
       plan_obj.field("pool_workers", s.plan.pool_workers);
       field_object("plan", plan_obj);
       // Per-phase SIMD engagement (width contract in core/params.h) plus

@@ -18,10 +18,7 @@
 // --inplace switches the timed call to the in-place entry point (the input
 // is restored by a copy inside the timed region, identically in every
 // configuration). Under a budget this is the spill configuration — the
-// partition round-trips through an mmap-backed spill run — which is what
-// the overlapped-I/O comparison measures: run once with
-// PARSEMI_SHARD_OVERLAP=off as baseline and once =on as candidate, then
-// gate with scripts/bench_compare.py --overlap-baseline.
+// partition round-trips through an mmap-backed spill run.
 #include "common.h"
 
 #include "shard/spill_file.h"
@@ -36,7 +33,7 @@ int main(int argc, char** argv) {
   size_t budget = args.get_bytes("budget", 0);  // 0 = unlimited / env
   size_t seq_limit =
       static_cast<size_t>(args.get_int("seqlimit", 50000000));
-  bool inplace = args.has("inplace");  // spill/overlap configuration
+  bool inplace = args.has("inplace");  // spill configuration
 
   std::vector<size_t> sizes;
   if (args.has("sizes")) {
@@ -118,7 +115,7 @@ int main(int argc, char** argv) {
       double par;
       if (inplace) {
         // Restore-then-sort inside the timed region: the copy is identical
-        // across overlap on/off runs, so it cancels in the comparison.
+        // across runs, so it cancels in any comparison.
         par = time_min(reps, [&] {
           std::copy(in.begin(), in.end(), out.begin());
           semisort_hashed_inplace(out, record_key{}, params);

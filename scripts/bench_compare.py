@@ -27,17 +27,13 @@ sidecar's "bench" field:
     peak-scratch telemetry present on sharded rows). With --require-sharded
     the run is additionally required to have actually gone out of core: at
     least one budgeted row with shards > 1 — the gate the 10^9-record
-    reproduction point runs under. With --overlap-baseline OTHER.json the
-    check also becomes the spill-overlap perf gate: the candidate (run with
-    PARSEMI_SHARD_OVERLAP=on) must be at least --min-overlap-speedup faster
-    than the serialized baseline (=off) summed over matching sharded rows,
-    and its sharded rows must report the overlap in plan{}.
+    reproduction point runs under.
 
   Additionally, EVERY sidecar whose rows carry a nested plan{} object (the
   execution plan of core/exec_plan.h) gets the structural plan check:
   required keys present, the single-probe contract (probe_passes <= 1,
-  zero on reused plans), known path names, shard/overlap accounting
-  consistent with the flat legacy keys.
+  zero on reused plans), known path names, shard accounting consistent
+  with the flat legacy keys.
 
   table2_breakdown / table3_breakdown: every row carries positive per-phase
     times that sum to the total, both seq and par modes, and a well-formed
@@ -68,11 +64,11 @@ import subprocess
 import sys
 import tempfile
 
-EXPECTED_PATHS = {"cas", "buffered", "blocked", "adaptive"}
-VALID_USED = {"cas", "buffered", "blocked"}
+EXPECTED_PATHS = {"cas", "blocked", "adaptive"}
+VALID_USED = {"cas", "blocked"}
 
-EXPECTED_DISPATCH = {"general", "counting", "unstable", "adaptive"}
-VALID_DISPATCH_USED = {"general", "counting", "unstable", "offsets"}
+EXPECTED_DISPATCH = {"general", "counting", "adaptive"}
+VALID_DISPATCH_USED = {"general", "counting", "offsets"}
 
 
 def _refuse_constant(name):
@@ -197,7 +193,7 @@ def check_throughput(doc):
 
 def check_dispatch(doc):
     """The dispatch-ablation invariants: per (distribution, keys) group all
-    four requested strategies ran, every row's checksum/key_runs match the
+    three requested strategies ran, every row's checksum/key_runs match the
     forced-general baseline, hashed-key rows never report a fast path
     (except the degenerate single-key input, where one distinct hash value
     IS a dense domain of width 1), and at least one raw-key row reports the
@@ -332,8 +328,7 @@ def check_size_scaling(doc, require_sharded=False):
 
 
 PLAN_REQUIRED_KEYS = ("reused", "probe_passes", "probe_records",
-                      "dispatch_path", "scatter_path", "shards",
-                      "overlap_io", "overlapped_prefetches")
+                      "dispatch_path", "scatter_path", "shards")
 
 
 def check_plan(doc):
@@ -342,9 +337,8 @@ def check_plan(doc):
     sidecars predating the plan layer, or rows that never ran a semisort.
     Checked per planned row: required keys, the single-probe contract
     (probe_passes <= 1; a reused plan performed zero probes), known
-    dispatch/scatter path names, shards >= 1 consistent with the flat
-    shard{} object, and overlap accounting (no overlapped prefetches
-    without the overlap decision, at most shards - 1 of them)."""
+    dispatch/scatter path names, and shards >= 1 consistent with the flat
+    shard{} object."""
     ok = True
     planned = 0
     for row in doc.get("rows", []):
@@ -392,18 +386,6 @@ def check_plan(doc):
             print(f"FAIL: {label}: plan.shards = {plan['shards']} but the "
                   f"flat shard.shards = {shard['shards']}", file=sys.stderr)
             ok = False
-        if not plan["overlap_io"] and plan["overlapped_prefetches"] != 0:
-            print(f"FAIL: {label}: {plan['overlapped_prefetches']} "
-                  f"overlapped prefetches without the overlap decision",
-                  file=sys.stderr)
-            ok = False
-        if (isinstance(plan["shards"], int)
-                and plan["overlapped_prefetches"] > max(0,
-                                                        plan["shards"] - 1)):
-            print(f"FAIL: {label}: {plan['overlapped_prefetches']} "
-                  f"overlapped prefetches exceed shards - 1 = "
-                  f"{plan['shards'] - 1}", file=sys.stderr)
-            ok = False
         # The plan IS the execution now: where a row also carries the flat
         # legacy keys, they must agree with what was planned.
         if (plan["shards"] == 1 and "scatter_path" in row
@@ -421,68 +403,6 @@ def check_plan(doc):
             ok = False
     if ok and planned:
         print(f"ok: {planned} plan{{}} objects well-formed")
-    return ok
-
-
-def check_overlap_gate(doc, baseline, min_overlap_speedup=0.10):
-    """The spill-overlap perf gate over two table4_size_scaling sidecars:
-    `doc` ran with overlapped spill I/O (PARSEMI_SHARD_OVERLAP=on), the
-    baseline serialized (=off). Summed over matching sharded
-    (distribution, n, memory_budget) rows, the overlapped run must be at
-    least min_overlap_speedup faster, and its sharded rows must record the
-    overlap decision (and at least one overlapped prefetch) in plan{}."""
-
-    def sharded_times(d):
-        out = {}
-        for r in d.get("rows", []):
-            shard = r.get("shard")
-            if (isinstance(shard, dict)
-                    and shard.get("shards", 1) > 1
-                    and isinstance(r.get("par_s"), (int, float))):
-                key = (r.get("distribution"), r.get("n"),
-                       r.get("memory_budget"))
-                out[key] = r
-        return out
-
-    cand, base = sharded_times(doc), sharded_times(baseline)
-    matched = sorted(set(cand) & set(base), key=repr)
-    if not matched:
-        print("FAIL: overlap gate: baseline shares no sharded "
-              "(distribution, n, memory_budget) rows with the candidate",
-              file=sys.stderr)
-        return False
-    ok = True
-    for key in matched:
-        plan = cand[key].get("plan")
-        if isinstance(plan, dict):
-            if not plan.get("overlap_io"):
-                print(f"FAIL: overlap gate: candidate row {key} did not "
-                      f"plan overlapped I/O", file=sys.stderr)
-                ok = False
-            elif plan.get("overlapped_prefetches", 0) < 1:
-                print(f"FAIL: overlap gate: candidate row {key} planned "
-                      f"overlap but issued no overlapped prefetch",
-                      file=sys.stderr)
-                ok = False
-    cand_s = sum(cand[k]["par_s"] for k in matched)
-    base_s = sum(base[k]["par_s"] for k in matched)
-    if cand_s <= 0:
-        print("FAIL: overlap gate: candidate time is not positive",
-              file=sys.stderr)
-        return False
-    speedup = base_s / cand_s - 1.0
-    print(f"overlap gate: {len(matched)} sharded rows, overlapped "
-          f"{cand_s:.3f}s vs serialized {base_s:.3f}s "
-          f"({100 * speedup:+.1f}%)")
-    if speedup < min_overlap_speedup:
-        print(f"FAIL: overlapped spill I/O is only "
-              f"{100 * speedup:+.1f}% faster than serialized "
-              f"(need >= {100 * min_overlap_speedup:.0f}%)",
-              file=sys.stderr)
-        ok = False
-    if ok:
-        print(f"ok: overlapped spill I/O beats serialized by "
-              f"{100 * speedup:.1f}%")
     return ok
 
 
@@ -645,8 +565,7 @@ def check_breakdown(doc, baseline=None, max_phase_regress=0.05,
 
 
 def check(doc, require_sharded=False, baseline=None, max_phase_regress=0.05,
-          require_wins=2, min_phase_s=0.005, overlap_baseline=None,
-          min_overlap_speedup=0.10):
+          require_wins=2, min_phase_s=0.005):
     """Dispatch on the sidecar's bench name. Sidecars without a "bench"
     field (or from the scatter ablation) get the scatter-path check — the
     historical behaviour this module's unit tests pin down. The plan{}
@@ -658,12 +577,7 @@ def check(doc, require_sharded=False, baseline=None, max_phase_regress=0.05,
     if doc.get("bench") == "ablation_dispatch":
         return check_dispatch(doc) and ok
     if doc.get("bench") == "table4_size_scaling":
-        ok = check_size_scaling(doc, require_sharded) and ok
-        if overlap_baseline is not None:
-            ok = check_overlap_gate(
-                doc, overlap_baseline,
-                min_overlap_speedup=min_overlap_speedup) and ok
-        return ok
+        return check_size_scaling(doc, require_sharded) and ok
     if doc.get("bench") in ("table2_breakdown", "table3_breakdown"):
         return check_breakdown(doc, baseline=baseline,
                                max_phase_regress=max_phase_regress,
@@ -693,14 +607,6 @@ def main():
     ap.add_argument("--min-phase-s", type=float, default=0.005,
                     help="breakdown gate: baseline phases shorter than this "
                          "are too noisy to gate on (default 0.005)")
-    ap.add_argument("--overlap-baseline",
-                    help="table4_size_scaling only: serialized "
-                         "(PARSEMI_SHARD_OVERLAP=off) sidecar the "
-                         "overlapped candidate must beat")
-    ap.add_argument("--min-overlap-speedup", type=float, default=0.10,
-                    help="overlap gate: minimum fractional speedup of the "
-                         "overlapped run over the serialized baseline "
-                         "(default 0.10)")
     ap.add_argument("extra", nargs="*",
                     help="extra args forwarded to the bench binary")
     args = ap.parse_args()
@@ -717,18 +623,12 @@ def main():
     if args.baseline:
         with open(args.baseline) as f:
             baseline = load_sidecar_text(f.read())
-    overlap_baseline = None
-    if args.overlap_baseline:
-        with open(args.overlap_baseline) as f:
-            overlap_baseline = load_sidecar_text(f.read())
 
     if not check(doc, require_sharded=args.require_sharded,
                  baseline=baseline,
                  max_phase_regress=args.max_phase_regress,
                  require_wins=args.require_wins,
-                 min_phase_s=args.min_phase_s,
-                 overlap_baseline=overlap_baseline,
-                 min_overlap_speedup=args.min_overlap_speedup):
+                 min_phase_s=args.min_phase_s):
         sys.exit(1)
     print("all checks passed")
 

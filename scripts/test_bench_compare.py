@@ -30,7 +30,7 @@ def make_row(dist="uniform", requested="cas", used=None, checksum="deadbeef",
         "distribution": dist,
         "path_requested": requested,
         "scatter_path": used if used is not None else
-            (requested if requested != "adaptive" else "buffered"),
+            (requested if requested != "adaptive" else "blocked"),
         "checksum": checksum,
         "key_runs": key_runs,
         "millis": 1.25,
@@ -83,10 +83,10 @@ class CheckAgreement(unittest.TestCase):
     def test_missing_path_fails(self):
         doc = make_doc(dists=("uniform",))
         doc["rows"] = [r for r in doc["rows"]
-                       if r["path_requested"] != "buffered"]
+                       if r["path_requested"] != "blocked"]
         ok, err = run_check(doc)
         self.assertFalse(ok)
-        self.assertIn("buffered", err)
+        self.assertIn("blocked", err)
         self.assertIn("never ran", err)
 
     def test_mismatch_in_one_distribution_does_not_hide_in_another(self):
@@ -221,8 +221,6 @@ def make_dispatch_row(dist="uniform", keys="raw", requested="general",
             used = "general"
         elif requested == "general":
             used = "general"
-        elif requested == "unstable":
-            used = "unstable"
         else:  # counting / adaptive on raw dense keys
             used = "counting"
     return {
@@ -269,11 +267,11 @@ class CheckDispatch(unittest.TestCase):
     def test_checksum_mismatch_fails_and_names_the_strategy(self):
         doc = make_dispatch_doc(dists=("uniform",), key_forms=("raw",))
         for row in doc["rows"]:
-            if row["path_requested"] == "unstable":
+            if row["path_requested"] == "counting":
                 row["checksum"] = "0badf00d"
         ok, err = run_check(doc)
         self.assertFalse(ok)
-        self.assertIn("unstable", err)
+        self.assertIn("counting", err)
         self.assertIn("checksum", err)
 
     def test_key_runs_mismatch_fails(self):
@@ -326,9 +324,7 @@ class CheckDispatch(unittest.TestCase):
         # the ablation proved nothing about the fast path.
         doc = make_dispatch_doc(dists=("uniform",), key_forms=("raw",))
         for row in doc["rows"]:
-            row["dispatch_path"] = ("unstable"
-                                    if row["path_requested"] == "unstable"
-                                    else "general")
+            row["dispatch_path"] = "general"
         ok, err = run_check(doc)
         self.assertFalse(ok)
         self.assertIn("never exercised", err)
@@ -760,8 +756,7 @@ class CheckBreakdown(unittest.TestCase):
 
 
 def make_plan_obj(reused=0, probe_passes=1, probe_records=1000,
-                  dispatch="general", scatter="cas", shards=1,
-                  overlap_io=0, overlapped=0):
+                  dispatch="general", scatter="cas", shards=1):
     return {
         "reused": reused,
         "probe_passes": probe_passes,
@@ -772,8 +767,6 @@ def make_plan_obj(reused=0, probe_passes=1, probe_records=1000,
         "predicted_buckets": 130,
         "shards": shards,
         "memory_budget": 0,
-        "overlap_io": overlap_io,
-        "overlapped_prefetches": overlapped,
         "pool_workers": 4,
     }
 
@@ -803,7 +796,7 @@ def run_plan_check(doc):
 class CheckPlan(unittest.TestCase):
     """The plan{} structural validator runs on every sidecar: rows without
     a plan are skipped, planned rows must satisfy the single-probe and
-    shard/overlap accounting contracts."""
+    shard accounting contracts."""
 
     def test_rows_without_plan_are_skipped(self):
         ok, err = run_plan_check(make_doc())
@@ -869,106 +862,12 @@ class CheckPlan(unittest.TestCase):
         self.assertFalse(ok)
         self.assertIn("shard.shards", err)
 
-    def test_overlapped_prefetches_require_the_overlap_decision(self):
-        doc = make_plan_doc([make_plan_obj(shards=4, overlap_io=0,
-                                           overlapped=3)])
-        ok, err = run_plan_check(doc)
-        self.assertFalse(ok)
-        self.assertIn("overlap", err)
-
-    def test_overlapped_prefetches_capped_at_shards_minus_one(self):
-        doc = make_plan_doc([make_plan_obj(shards=4, overlap_io=1,
-                                           overlapped=4)])
-        ok, err = run_plan_check(doc)
-        self.assertFalse(ok)
-        self.assertIn("exceed", err)
-
-    def test_valid_overlap_accounting_passes(self):
-        doc = make_plan_doc([make_plan_obj(shards=4, overlap_io=1,
-                                           overlapped=3)])
-        ok, err = run_plan_check(doc)
-        self.assertTrue(ok, err)
-
     def test_executed_scatter_path_must_match_the_plan(self):
         doc = make_plan_doc([make_plan_obj(scatter="blocked")])
         doc["rows"][0]["scatter_path"] = "cas"
         ok, err = run_plan_check(doc)
         self.assertFalse(ok)
         self.assertIn("differs from planned", err)
-
-
-def make_overlap_doc(par_s=1.0, shards=8, overlap_io=1, overlapped=None,
-                     with_plan=True):
-    if overlapped is None:
-        overlapped = shards - 1 if overlap_io else 0
-    row = make_scaling_row(n=100000000, budget=1 << 30, shards=shards,
-                           spilled=16 * 100000000, par_s=par_s)
-    if with_plan:
-        row["plan"] = make_plan_obj(shards=shards, overlap_io=overlap_io,
-                                    overlapped=overlapped)
-    return make_scaling_doc(rows=[make_scaling_row(n=1000000), row])
-
-
-def run_overlap_check(doc, baseline, **kwargs):
-    err = io.StringIO()
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        ok = bench_compare.check_overlap_gate(doc, baseline, **kwargs)
-    return ok, err.getvalue() + out.getvalue()
-
-
-class CheckOverlapGate(unittest.TestCase):
-    """The spill-overlap perf gate: overlapped table4 runs must beat the
-    serialized baseline by the required margin on matching sharded rows."""
-
-    def test_sufficient_speedup_passes(self):
-        cand = make_overlap_doc(par_s=0.8)
-        base = make_overlap_doc(par_s=1.0, overlap_io=0)
-        ok, err = run_overlap_check(cand, base)
-        self.assertTrue(ok, err)
-
-    def test_insufficient_speedup_fails(self):
-        cand = make_overlap_doc(par_s=0.95)
-        base = make_overlap_doc(par_s=1.0, overlap_io=0)
-        ok, err = run_overlap_check(cand, base)
-        self.assertFalse(ok)
-        self.assertIn("faster", err)
-
-    def test_threshold_is_tunable(self):
-        cand = make_overlap_doc(par_s=0.95)
-        base = make_overlap_doc(par_s=1.0, overlap_io=0)
-        ok, err = run_overlap_check(cand, base, min_overlap_speedup=0.04)
-        self.assertTrue(ok, err)
-
-    def test_candidate_without_overlap_decision_fails(self):
-        cand = make_overlap_doc(par_s=0.8, overlap_io=0)
-        base = make_overlap_doc(par_s=1.0, overlap_io=0)
-        ok, err = run_overlap_check(cand, base)
-        self.assertFalse(ok)
-        self.assertIn("did not plan", err)
-
-    def test_candidate_without_prefetches_fails(self):
-        cand = make_overlap_doc(par_s=0.8, overlap_io=1, overlapped=0)
-        base = make_overlap_doc(par_s=1.0, overlap_io=0)
-        ok, err = run_overlap_check(cand, base)
-        self.assertFalse(ok)
-        self.assertIn("no overlapped prefetch", err)
-
-    def test_no_matching_sharded_rows_fails(self):
-        cand = make_overlap_doc(par_s=0.8)
-        base = make_scaling_doc(rows=[make_scaling_row(n=1000000)])
-        ok, err = run_overlap_check(cand, base)
-        self.assertFalse(ok)
-        self.assertIn("no sharded", err)
-
-    def test_gate_reached_through_check(self):
-        cand = make_overlap_doc(par_s=0.95)
-        base = make_overlap_doc(par_s=1.0, overlap_io=0)
-        err = io.StringIO()
-        with redirect_stdout(io.StringIO()), redirect_stderr(err):
-            ok = bench_compare.check(cand, overlap_baseline=base)
-        self.assertFalse(ok)
-        self.assertIn("faster", err.getvalue())
 
 
 class CliJsonStrictness(unittest.TestCase):

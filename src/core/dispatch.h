@@ -8,10 +8,6 @@
 //     passes up to 2^32 (Dong et al. 2024's playbook). No sampling, no
 //     hashing, no Las-Vegas retry — and the output is fully sorted,
 //     stable, and byte-identical at every worker count.
-//   * unstable — counting placement that skips within-group order
-//     maintenance (Wu et al. 2023's unstable interface): O(width)
-//     auxiliary state and one atomic slot claim per record, for callers
-//     that only need equal keys contiguous.
 //   * offsets — offset-only result shapes that never move a record
 //     (count_by_key's histogram path below; group_by_index's index-only
 //     counting sort).
@@ -20,8 +16,7 @@
 // the PARSEMI_DISPATCH_PATH environment variable beats
 // semisort_params::dispatch_with beats the adaptive default, and the path
 // actually taken is recorded in semisort_stats::dispatch_path_used. A
-// forced counting/unstable request whose key domain turns out ineligible
-// falls back to the general pipeline — recorded as general with
+// forced counting request whose key domain turns out ineligible falls back to the general pipeline — recorded as general with
 // key_domain_width == 0, never a wrong answer.
 //
 // Since the plan/execute split (ISSUE 10) the probe and the decision for
@@ -58,8 +53,8 @@ namespace parsemi {
 namespace internal {
 
 // PARSEMI_DISPATCH_PATH override — same contract as PARSEMI_SCATTER_PATH:
-// "general" / "counting" / "unstable" force that strategy; "adaptive" and
-// unknown values fall through to the params knob. env_cstr never
+// "general" / "counting" force that strategy; "adaptive" and unknown
+// values fall through to the params knob. env_cstr never
 // allocates, so the per-call check keeps the zero-heap steady state.
 inline bool dispatch_strategy_from_env(
     semisort_params::dispatch_strategy& out) {
@@ -71,10 +66,6 @@ inline bool dispatch_strategy_from_env(
   }
   if (std::strcmp(v, "counting") == 0) {
     out = semisort_params::dispatch_strategy::counting;
-    return true;
-  }
-  if (std::strcmp(v, "unstable") == 0) {
-    out = semisort_params::dispatch_strategy::unstable;
     return true;
   }
   return false;
@@ -94,15 +85,25 @@ inline semisort_params::dispatch_strategy resolve_dispatch_strategy(
 // owns row b of the matrix as its private cursors. Zero atomics, and the
 // block-major claim order makes the result stable — and byte-identical at
 // every worker count. place(i, pos) receives the source index and its
-// destination slot; bucket_at(i) must be < width.
+// destination slot. A bucket_at(i) ≥ width marks a record outside the
+// domain (a cached plan reused on other keys): the count pass notes it,
+// counts it into bucket 0 to stay in bounds, and the call returns false
+// without placing anything.
 template <typename BucketAt, typename PlaceFn>
-void counting_place_stable(size_t n, size_t width, BucketAt&& bucket_at,
+bool counting_place_stable(size_t n, size_t width, BucketAt&& bucket_at,
                            PlaceFn&& place, pipeline_context& ctx) {
   arena_scope scope(ctx.scratch);
   size_t block = histogram_block_size(n, width);
   size_t num_blocks = histogram_num_blocks(n, block);
   size_t* counts = ctx.scratch.alloc<size_t>(num_blocks * width);
-  histogram_blocks(n, block, width, counts, bucket_at);
+  std::atomic<bool> outside{false};
+  histogram_blocks(n, block, width, counts, [&](size_t i) {
+    size_t k = bucket_at(i);
+    if (k < width) return k;
+    outside.store(true, std::memory_order_relaxed);
+    return size_t{0};
+  });
+  if (outside.load(std::memory_order_relaxed)) return false;
   std::span<size_t> totals(ctx.scratch.alloc<size_t>(width), width);
   parallel_for(0, width, [&](size_t k) {
     size_t sum = 0;
@@ -120,47 +121,7 @@ void counting_place_stable(size_t n, size_t width, BucketAt&& bucket_at,
     size_t* cursor = counts + b * width;
     for (size_t i = lo; i < hi; ++i) place(i, cursor[bucket_at(i)]++);
   });
-}
-
-// Unstable counting placement: O(width) auxiliary state instead of the
-// blocked count matrix, one pass shape for every eligible width. Each
-// record costs two relaxed fetch_adds; within-group order is whatever the
-// claim race produced (the groups themselves are exact).
-template <typename BucketAt, typename PlaceFn>
-void counting_place_unstable(size_t n, size_t width, BucketAt&& bucket_at,
-                             PlaceFn&& place, pipeline_context& ctx) {
-  arena_scope scope(ctx.scratch);
-  std::span<size_t> offsets(ctx.scratch.alloc<size_t>(width), width);
-  parallel_for_blocks(width, scan_block_size(width),
-                      [&](size_t, size_t lo, size_t hi) {
-                        std::fill(offsets.begin() + static_cast<ptrdiff_t>(lo),
-                                  offsets.begin() + static_cast<ptrdiff_t>(hi),
-                                  size_t{0});
-                      });
-  size_t block = scan_block_size(n);
-  // Count pass: relaxed suffices — the counters are the only shared state
-  // and the fork-join barrier orders every increment before the scan below
-  // reads them.
-  parallel_for_blocks(n, block, [&](size_t, size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      std::atomic_ref<size_t>(offsets[bucket_at(i)])
-          .fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  size_t scan_blocks = scan_num_blocks(width);
-  std::span<size_t> scan_scratch(ctx.scratch.alloc<size_t>(scan_blocks),
-                                 scan_blocks);
-  scan_exclusive_inplace(offsets, size_t{0}, scan_scratch);
-  // Claim pass: one relaxed fetch_add per record hands it a slot no other
-  // record gets — uniqueness is all placement needs, and the join
-  // publishes the placed stores to the caller.
-  parallel_for_blocks(n, block, [&](size_t, size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      size_t pos = std::atomic_ref<size_t>(offsets[bucket_at(i)])
-                       .fetch_add(1, std::memory_order_relaxed);
-      place(i, pos);
-    }
-  });
+  return true;
 }
 
 // Stable counting semisort over an accepted dense domain. One blocked pass
@@ -170,9 +131,11 @@ void counting_place_unstable(size_t n, size_t width, BucketAt&& bucket_at,
 // digits, so the composition is a stable sort by key. When `out` aliases
 // `in` (the in-place entry), the one-pass shape places into a temp and
 // copies back; the two-pass shape is alias-safe as-is because pass 2 never
-// reads `in`.
+// reads `in`. Returns false, with `out` untouched, when a key falls outside
+// `dom` — only possible for a cached plan reused on other keys; the first
+// count pass checks every record before anything moves.
 template <typename Record, typename GetKey>
-void counting_semisort(std::span<const Record> in, std::span<Record> out,
+bool counting_semisort(std::span<const Record> in, std::span<Record> out,
                        GetKey&& get_key, const key_domain& dom,
                        const semisort_params& params, bool aliased,
                        pipeline_context& ctx) {
@@ -186,10 +149,11 @@ void counting_semisort(std::span<const Record> in, std::span<Record> out,
     passes = 1;
     std::span<Record> dst = out;
     if (aliased) dst = std::span<Record>(ctx.scratch.alloc<Record>(n), n);
-    counting_place_stable(
-        n, static_cast<size_t>(dom.width),
-        [&](size_t i) { return static_cast<size_t>(get_key(in[i]) - min); },
-        [&](size_t i, size_t pos) { dst[pos] = in[i]; }, ctx);
+    if (!counting_place_stable(
+            n, static_cast<size_t>(dom.width),
+            [&](size_t i) { return static_cast<size_t>(get_key(in[i]) - min); },
+            [&](size_t i, size_t pos) { dst[pos] = in[i]; }, ctx))
+      return false;
     if (pt != nullptr) pt->record("dispatch count place");
     if (aliased) {
       parallel_for_blocks(n, scan_block_size(n),
@@ -202,12 +166,17 @@ void counting_semisort(std::span<const Record> in, std::span<Record> out,
     passes = 2;
     std::span<Record> tmp(ctx.scratch.alloc<Record>(n), n);
     size_t high_width = static_cast<size_t>(((dom.width - 1) >> 16) + 1);
-    counting_place_stable(
-        n, static_cast<size_t>(kCountingOnePassMaxWidth),
-        [&](size_t i) {
-          return static_cast<size_t>((get_key(in[i]) - min) & 0xffff);
-        },
-        [&](size_t i, size_t pos) { tmp[pos] = in[i]; }, ctx);
+    // Pass 1 maps out-of-domain keys past the digit range, so its count
+    // pass rejects them and pass 2's high digits stay below high_width.
+    if (!counting_place_stable(
+            n, static_cast<size_t>(kCountingOnePassMaxWidth),
+            [&](size_t i) {
+              uint64_t k = get_key(in[i]) - min;
+              return k < dom.width ? static_cast<size_t>(k & 0xffff)
+                                   : SIZE_MAX;
+            },
+            [&](size_t i, size_t pos) { tmp[pos] = in[i]; }, ctx))
+      return false;
     if (pt != nullptr) pt->record("dispatch radix pass 1");
     counting_place_stable(
         n, high_width,
@@ -224,43 +193,7 @@ void counting_semisort(std::span<const Record> in, std::span<Record> out,
     st.key_domain_width = static_cast<size_t>(dom.width);
     st.counting_passes = passes;
   }
-}
-
-// Unstable counting semisort: same grouping contract minus within-group
-// order. Single pass at every eligible width (the O(width) offset array
-// stays ≤ 16n bytes by the density bound).
-template <typename Record, typename GetKey>
-void unstable_counting_semisort(std::span<const Record> in,
-                                std::span<Record> out, GetKey&& get_key,
-                                const key_domain& dom,
-                                const semisort_params& params, bool aliased,
-                                pipeline_context& ctx) {
-  size_t n = in.size();
-  phase_timer* pt = params.timings;
-  if (pt != nullptr) pt->start();
-  arena_scope frame(ctx.scratch);
-  uint64_t min = dom.min;
-  std::span<Record> dst = out;
-  if (aliased) dst = std::span<Record>(ctx.scratch.alloc<Record>(n), n);
-  counting_place_unstable(
-      n, static_cast<size_t>(dom.width),
-      [&](size_t i) { return static_cast<size_t>(get_key(in[i]) - min); },
-      [&](size_t i, size_t pos) { dst[pos] = in[i]; }, ctx);
-  if (pt != nullptr) pt->record("dispatch count place");
-  if (aliased) {
-    parallel_for_blocks(n, scan_block_size(n),
-                        [&](size_t, size_t lo, size_t hi) {
-                          for (size_t i = lo; i < hi; ++i) out[i] = dst[i];
-                        });
-    if (pt != nullptr) pt->record("dispatch copy back");
-  }
-  if (params.stats != nullptr) {
-    semisort_stats& st = *params.stats;
-    st.n = n;
-    st.dispatch_path_used = dispatch_path::unstable;
-    st.key_domain_width = static_cast<size_t>(dom.width);
-    st.counting_passes = 1;
-  }
+  return true;
 }
 
 // Offset-only count_by_key (the `offsets` result shape): a pure histogram
@@ -345,9 +278,8 @@ bool try_dispatch_count_by_key(std::span<const K> keys, Result& out,
 // Dense fast path for group_by_index: a counting sort of the *indices* —
 // the records themselves never move, matching the operator's contract.
 // `Result` is grouped_indices (core/group_by.h; templated to keep this
-// header below it in the include graph). Stable placement under the
-// counting strategies (order within a group = input order), atomic-claim
-// placement under unstable. Returns true when handled.
+// header below it in the include graph). Stable placement: order within a
+// group = input order. Returns true when handled.
 template <typename Record, typename GetKey, typename Result>
 bool try_dispatch_group_by_index(std::span<const Record> in, GetKey&& get_key,
                                  const semisort_params& params, Result& result,
@@ -370,12 +302,7 @@ bool try_dispatch_group_by_index(std::span<const Record> in, GetKey&& get_key,
   result.order.resize(n);
   std::span<size_t> order(result.order.data(), n);
   size_t passes = 1;
-  if (s == strategy::unstable) {
-    counting_place_unstable(
-        n, static_cast<size_t>(dom.width),
-        [&](size_t i) { return static_cast<size_t>(get_key(in[i]) - min); },
-        [&](size_t i, size_t pos) { order[pos] = i; }, ctx);
-  } else if (dom.width <= kCountingOnePassMaxWidth) {
+  if (dom.width <= kCountingOnePassMaxWidth) {
     counting_place_stable(
         n, static_cast<size_t>(dom.width),
         [&](size_t i) { return static_cast<size_t>(get_key(in[i]) - min); },
@@ -410,10 +337,9 @@ bool try_dispatch_group_by_index(std::span<const Record> in, GetKey&& get_key,
   if (params.stats != nullptr) {
     semisort_stats& st = *params.stats;
     st.n = n;
-    st.dispatch_path_used = s == strategy::unstable ? dispatch_path::unstable
-                                                    : dispatch_path::counting;
+    st.dispatch_path_used = dispatch_path::counting;
     st.key_domain_width = static_cast<size_t>(dom.width);
-    st.counting_passes = s == strategy::unstable ? 1 : passes;
+    st.counting_passes = passes;
   }
   return true;
 }

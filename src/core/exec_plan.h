@@ -72,11 +72,6 @@ struct semisort_plan {
   size_t memory_budget = 0;  // resolved bytes; 0 = unlimited
   bool sharded = false;
   shard_plan shards;         // default (num_shards == 1) when !sharded
-  // Overlap spill I/O with shard compute on a dedicated one-worker I/O
-  // pool (shard/shard_driver.h): prefetch shard k+1's spill run while
-  // shard k computes. Planned, not hard-coded: adaptive default is the
-  // spill path with ≥ 2 shards; PARSEMI_SHARD_OVERLAP=on/off overrides.
-  bool overlap_io = false;
 
   // --- execution environment the plan was built against ---
   int pool_workers = 0;      // worker count of the bound pool
@@ -143,7 +138,6 @@ struct semisort_plan {
       }
       out += "]\n";
     }
-    kv_s("overlap_io", overlap_io ? "on" : "off");
     kv_u("pool_workers", static_cast<unsigned long long>(pool_workers));
     kv_u("simd_width", simd_width);
     return out;

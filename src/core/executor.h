@@ -1,6 +1,6 @@
 // The executor — runs a semisort_plan (core/exec_plan.h) without
-// re-deciding anything: the dispatch path, scatter path, shard layout, and
-// overlap choice all come from the plan the planner (core/planner.h)
+// re-deciding anything: the dispatch path, scatter path, and shard layout
+// all come from the plan the planner (core/planner.h)
 // built. This header also owns the one call frame every entry point and
 // derived operator shares:
 //
@@ -69,13 +69,8 @@ class context_binding {
       alloc_snap_ = ctx_->scratch.alloc_count();
       ctx_->timings = params.timings;
       ctx_->stats = params.stats;
-      // Bind the executing pool for the whole call (worker-partitioned
-      // scratch sizes itself from this) and snapshot the thread's fallback
-      // counter / job accounting so finalize() can attribute this call's
-      // share to its stats.
-      prev_pool_ = ctx_->pool;
-      ctx_->pool =
-          params.pool != nullptr ? params.pool : &worker_pool::resolve();
+      // Snapshot the thread's fallback counter / job accounting so
+      // finalize() can attribute this call's share to its stats.
       fallback_snap_ = tl_sequential_fallbacks;
       acct_ = tl_job_acct;
     }
@@ -86,7 +81,6 @@ class context_binding {
       ctx_->scratch.rewind(base_);
       ctx_->timings = nullptr;
       ctx_->stats = nullptr;
-      ctx_->pool = prev_pool_;
     }
     ctx_->depth--;
   }
@@ -115,7 +109,6 @@ class context_binding {
  private:
   std::optional<pipeline_context> local_;
   pipeline_context* ctx_ = nullptr;
-  worker_pool* prev_pool_ = nullptr;
   job_accounting* acct_ = nullptr;
   arena::checkpoint base_;
   size_t alloc_snap_ = 0;
@@ -202,7 +195,6 @@ inline void publish_plan(semisort_stats* stats, const semisort_plan& plan,
   ps.predicted_buckets = plan.predicted_buckets;
   ps.shards = plan.num_shards();
   ps.memory_budget = plan.memory_budget;
-  ps.overlap_io = plan.overlap_io;
   ps.pool_workers = plan.pool_workers;
   // The flat legacy field mirrors the probe outcome exactly as the old
   // inline dispatch did: width when the domain was accepted, 0 when it
@@ -234,9 +226,6 @@ bool semisort_attempt(std::span<const Record> in, std::span<Record> out,
     case semisort_params::sample_sorter::merge_sort:
       parallel_merge_sort(sample);
       break;
-    case semisort_params::sample_sorter::std_sort:
-      std::sort(sample.begin(), sample.end());
-      break;
   }
   if (pt != nullptr) pt->record("sample and sort");
 
@@ -248,10 +237,10 @@ bool semisort_attempt(std::span<const Record> in, std::span<Record> out,
   // Phase 3 — scatter (path pinned by the plan; see core/planner.h).
   scatter_storage<Record> storage(plan.total_slots, base.split(2).next() | 1,
                                   &ctx);
-  scatter_telemetry telem;
+  scatter_probe_stats probe;
   scatter_result result = scatter_dispatch(
       path, in, storage, plan, get_key, params, base.split(3), ctx,
-      params.stats != nullptr ? &telem : nullptr);
+      params.stats != nullptr ? &probe : nullptr);
   if (pt != nullptr) pt->record("scatter");
   if (result != scatter_result::ok) return false;
 
@@ -259,8 +248,8 @@ bool semisort_attempt(std::span<const Record> in, std::span<Record> out,
   std::span<size_t> light_counts(ctx.scratch.alloc<size_t>(plan.num_light),
                                  plan.num_light);
   std::atomic<bool> local_kernel_used{false};
-  // The buffered and blocked paths fill each bucket front-to-back, so the
-  // local sort can treat occupancy as a prefix and skip the hole sweep.
+  // The blocked path fills each bucket front-to-back, so the local sort can
+  // treat occupancy as a prefix and skip the hole sweep.
   local_sort_light_buckets(
       storage, plan, get_key, params, light_counts,
       params.stats != nullptr ? &local_kernel_used : nullptr,
@@ -289,57 +278,28 @@ bool semisort_attempt(std::span<const Record> in, std::span<Record> out,
                     return plan.heavy_table->contains(get_key(in[i])) ? 1 : 0;
                   },
                   0, sums);
-    // Path-conditional telemetry: the probe histogram only means something
-    // on the CAS path, the flush counters only on the buffered path; the
-    // blocked path's whole point is issuing zero placement atomics.
+    // The probe histogram only means something on the CAS path; the
+    // blocked path never probes and leaves it zero.
     st.scatter_path_used = path;
-    switch (path) {
-      case scatter_path::cas:
-        for (size_t b = 0; b < semisort_stats::kProbeBins; ++b)
-          st.probe_hist[b] =
-              telem.probe.bins[b].load(std::memory_order_relaxed);
-        st.max_probe = telem.probe.max.load(std::memory_order_relaxed);
-        break;
-      case scatter_path::buffered:
-        st.scatter_flushes = telem.flushes.load(std::memory_order_relaxed);
-        st.scatter_chunk_claims =
-            telem.chunk_claims.load(std::memory_order_relaxed);
-        st.scatter_bytes_staged =
-            telem.bytes_staged.load(std::memory_order_relaxed);
-        for (size_t b = 0; b < semisort_stats::kFlushBins; ++b)
-          st.flush_hist[b] =
-              telem.flush_hist[b].load(std::memory_order_relaxed);
-        st.scatter_atomics_saved = n - st.scatter_chunk_claims;
-        break;
-      case scatter_path::blocked:
-        st.scatter_atomics_saved = n;  // placement issued no atomics
-        break;
-    }
+    for (size_t b = 0; b < semisort_stats::kProbeBins; ++b)
+      st.probe_hist[b] = probe.bins[b].load(std::memory_order_relaxed);
+    st.max_probe = probe.max.load(std::memory_order_relaxed);
     // Per-phase SIMD engagement (width contract documented in params.h:
     // 256/128 vector tier, 64 scalar tier, 0 no accelerated kernel on the
-    // path this run took).
+    // path this run took). The blocked path's two-pass counting has no
+    // scan kernel.
     st.simd_hash_width = sample.size() > 0 ? simd::kWidthBits : 0;
-    switch (path) {
-      case scatter_path::cas:
-        st.simd_scatter_width =
-            scatter_storage<Record>::kKeyCas
-                ? ((simd::kEnabled && !simd::kTsan)
-                       ? simd::probe_width<sizeof(Record)>()
-                       : 64)
-                : 0;
-        break;
-      case scatter_path::buffered:
-        st.simd_scatter_width = simd::kWidthBits;  // run_len_u32 flush scan
-        break;
-      case scatter_path::blocked:
-        st.simd_scatter_width = 0;  // two-pass counting: no scan kernel
-        break;
-    }
+    st.simd_scatter_width = 0;
+    if (path == scatter_path::cas && scatter_storage<Record>::kKeyCas)
+      st.simd_scatter_width = (simd::kEnabled && !simd::kTsan)
+                                  ? simd::probe_width<sizeof(Record)>()
+                                  : 64;
     st.simd_local_sort_width =
         local_kernel_used.load(std::memory_order_relaxed) ? simd::kWidthBits
                                                           : 0;
     st.simd_pack_width =
         std::is_trivially_copyable_v<Record> ? simd::kWidthBits : 0;
+    if (pt != nullptr) pt->record("stats");
   }
 
   // Phase 5 — pack.
@@ -366,32 +326,34 @@ void execute_sharded_plan(std::span<const Record> in, std::span<Record> out,
 
 // Runs an in-memory (unsharded) plan inside an already-bound frame:
 // counting kernels when the plan accepted a dense domain, the Las-Vegas
-// attempt loop with the plan's pinned scatter path otherwise.
+// attempt loop with the plan's pinned scatter path otherwise. A cached
+// counting plan whose domain misses this call's keys falls back to the
+// general pipeline, with the scatter path the planner would have chosen.
 template <typename Record, typename GetKey>
 void execute_in_memory_plan(std::span<const Record> in, std::span<Record> out,
                             GetKey get_key, const semisort_params& params,
                             const semisort_plan& plan, bool aliased,
                             const char* who, context_binding& bind) {
   if (params.stats != nullptr) params.stats->shards = 1;
-  if (plan.dispatch == dispatch_path::counting ||
-      plan.dispatch == dispatch_path::unstable) {
+  scatter_path path = plan.scatter;
+  if (plan.dispatch == dispatch_path::counting) {
     key_domain dom;
     dom.dense = true;
     dom.min = plan.domain_min;
     dom.width = plan.domain_width;
-    if (plan.dispatch == dispatch_path::unstable) {
-      unstable_counting_semisort(in, out, get_key, dom, params, aliased,
-                                 bind.ctx());
-    } else {
-      counting_semisort(in, out, get_key, dom, params, aliased, bind.ctx());
+    if (counting_semisort(in, out, get_key, dom, params, aliased,
+                          bind.ctx())) {
+      bind.finalize(params.stats);
+      return;
     }
-    bind.finalize(params.stats);
-    return;
+    size_t n = in.size();
+    path = choose_scatter_path(n, predict_bucket_count(n, params), params);
+    if (params.stats != nullptr) params.stats->key_domain_width = 0;
   }
   double alpha = params.alpha;
   for (int attempt = 0; attempt <= params.max_retries; ++attempt) {
     if (params.timings != nullptr && attempt > 0) params.timings->clear();
-    if (semisort_attempt(in, out, get_key, params, plan.scatter, alpha,
+    if (semisort_attempt(in, out, get_key, params, path, alpha,
                          static_cast<uint64_t>(attempt), bind.ctx())) {
       if (params.stats != nullptr) params.stats->restarts = attempt;
       bind.finalize(params.stats);

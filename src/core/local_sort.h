@@ -253,8 +253,8 @@ void counting_sort_by_naming(std::span<Record> bucket, GetKey& get_key) {
 // accelerated kernel (prefix-scan compaction, sorting network, or the MSD
 // byte sort) — it feeds semisort_stats::simd_local_sort_width.
 // `dense_storage` promises that every bucket's occupied slots form a
-// prefix (the buffered and blocked scatter paths fill buckets
-// front-to-back); compaction then reduces to measuring that prefix.
+// prefix (the blocked scatter path fills buckets front-to-back);
+// compaction then reduces to measuring that prefix.
 template <typename Record, typename GetKey>
 void local_sort_light_buckets(scatter_storage<Record>& storage,
                               const bucket_plan& plan, GetKey get_key,

@@ -59,7 +59,7 @@ size_t pack_output(scatter_storage<Record>& storage, const bucket_plan& plan,
             // Run-based compaction: run boundaries are found 4 slots per
             // step by the sentinel-scan kernels and each occupied run
             // moves with one memmove — the leading dense prefix (w == r)
-            // moves nothing at all. The buffered/blocked paths fill each
+            // moves nothing at all. The blocked path fills each
             // bucket front-to-back, so a bucket contributes one occupied
             // and one hole run and the sweep is a handful of bulk moves;
             // the CAS path's random holes just make the runs short (still

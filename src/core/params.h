@@ -24,16 +24,13 @@ struct semisort_plan;  // core/exec_plan.h
 
 // The Phase 3 placement strategy a run actually executed (core/scatter.h):
 //   cas      — one CAS + probe per record (the paper's §4 scatter)
-//   buffered — per-worker write-combining buffers, slot ranges claimed in
-//              chunks with one fetch_add per flushed run
 //   blocked  — two-pass per-block counting with contention-free placement
 //              (zero atomics; Wu et al. 2023 style)
-enum class scatter_path : uint8_t { cas, buffered, blocked };
+enum class scatter_path : uint8_t { cas, blocked };
 
 inline const char* to_string(scatter_path p) {
   switch (p) {
     case scatter_path::cas: return "cas";
-    case scatter_path::buffered: return "buffered";
     case scatter_path::blocked: return "blocked";
   }
   return "?";
@@ -46,19 +43,14 @@ inline const char* to_string(scatter_path p) {
 //              domain: one blocked pass for widths ≤ 2^16, two 16-bit-digit
 //              LSB passes up to 2^32 (Dong et al. 2024 style). Deterministic
 //              and stable at every worker count.
-//   unstable — counting placement that skips within-group order
-//              maintenance (one atomic cursor claim per record; the
-//              unstable interface of Wu et al. 2023). Same groups, order
-//              within a group unspecified.
 //   offsets  — offset-only result shape: counts/boundaries are computed
 //              without ever moving a record (count_by_key's histogram path).
-enum class dispatch_path : uint8_t { general, counting, unstable, offsets };
+enum class dispatch_path : uint8_t { general, counting, offsets };
 
 inline const char* to_string(dispatch_path p) {
   switch (p) {
     case dispatch_path::general: return "general";
     case dispatch_path::counting: return "counting";
-    case dispatch_path::unstable: return "unstable";
     case dispatch_path::offsets: return "offsets";
   }
   return "?";
@@ -81,7 +73,6 @@ struct plan_summary {
   size_t predicted_buckets = 0;
   size_t shards = 1;
   size_t memory_budget = 0;   // resolved bytes; 0 = unlimited
-  bool overlap_io = false;
   int pool_workers = 0;
 };
 
@@ -127,35 +118,17 @@ struct semisort_stats {
   // whose claim took a probe distance d with bit_width(d) == b, i.e.
   // bin 0 ⇔ first slot free, bin 1 ⇔ d = 1, bin 2 ⇔ d ∈ {2,3}, …; the last
   // bin also absorbs anything longer. Filled only when stats are requested
-  // (one relaxed atomic increment per record); all-zero on the buffered and
-  // blocked paths, which never probe.
+  // (one relaxed atomic increment per record); all-zero on the blocked
+  // path, which never probes.
   static constexpr size_t kProbeBins = 16;
   std::array<size_t, kProbeBins> probe_hist{};
   size_t max_probe = 0;  // longest observed probe distance
 
-  // Buffered-path counters (all-zero on the other paths): buffer flushes
-  // executed, slot-range claims issued (one fetch_add per same-bucket run
-  // within a flush), and bytes staged through the write buffers. The blocked
-  // path reports zero claims — its placement needs no atomics at all.
-  // scatter_atomics_saved is the per-record atomic ops the CAS path would
-  // have issued minus the claims this path did issue (zero on the CAS path).
-  size_t scatter_flushes = 0;
-  size_t scatter_chunk_claims = 0;
-  size_t scatter_bytes_staged = 0;
-  size_t scatter_atomics_saved = 0;
-
-  // Flush-size histogram — buffered path only: bin b counts flushes that
-  // wrote k records with bit_width(k) == b (last bin absorbs the rest).
-  // Full-buffer flushes land in the top occupied bin; the tail below it is
-  // the end-of-scatter drain of partially filled buffers.
-  static constexpr size_t kFlushBins = 16;
-  std::array<size_t, kFlushBins> flush_hist{};
-
   // --- front-end dispatch telemetry (core/dispatch.h) ---
   // Which front-end path the call executed. `general` both when the general
-  // pipeline was selected outright and when a forced counting/unstable
-  // request fell back because the key domain was ineligible — the fallback
-  // is visible as general here plus key_domain_width == 0.
+  // pipeline was selected outright and when a forced counting request fell
+  // back because the key domain was ineligible — the fallback is visible
+  // as general here plus key_domain_width == 0.
   dispatch_path dispatch_path_used = dispatch_path::general;
   // Dense key-domain width (max − min + 1) when the probe accepted; 0 when
   // the probe rejected or never ran (dispatch pinned to general).
@@ -174,9 +147,9 @@ struct semisort_stats {
   size_t shards = 0;
   size_t spilled_bytes = 0;
   size_t shard_peak_scratch_bytes = 0;
-  // Spill-run prefetches the driver overlapped with shard compute on the
-  // dedicated I/O pool (0 when the plan ran overlap off or nothing
-  // spilled).
+  // Always 0: the driver reads spill runs serially behind a WILLNEED hint
+  // and overlaps no prefetch with compute. Kept declared because
+  // benchmark/parsemi_bench.cpp reads it.
   size_t overlapped_prefetches = 0;
 
   // --- the execution plan this call ran under (core/exec_plan.h) ---
@@ -189,7 +162,7 @@ struct semisort_stats {
   // path taken by this run has no accelerated kernel in that phase (e.g.
   // blocked scatter, flag-array CAS, non-trivially-copyable records).
   size_t simd_hash_width = 0;        // batched sample-position + key hashing
-  size_t simd_scatter_width = 0;     // CAS probe prescan / buffered run scan
+  size_t simd_scatter_width = 0;     // CAS probe prescan
   size_t simd_local_sort_width = 0;  // sorting networks on light buckets
   size_t simd_pack_width = 0;        // widened record-run copies
 
@@ -210,16 +183,6 @@ struct semisort_stats {
       sum += static_cast<double>(probe_hist[b]) * (lo + hi) / 2.0;
     }
     return records == 0 ? 0.0 : sum / records;
-  }
-  double mean_flush_records() const {
-    double flushes = 0, sum = 0;
-    for (size_t b = 0; b < kFlushBins; ++b) {
-      double lo = b == 0 ? 0.0 : static_cast<double>(size_t{1} << (b - 1));
-      double hi = b == 0 ? 0.0 : static_cast<double>((size_t{1} << b) - 1);
-      flushes += static_cast<double>(flush_hist[b]);
-      sum += static_cast<double>(flush_hist[b]) * (lo + hi) / 2.0;
-    }
-    return flushes == 0 ? 0.0 : sum / flushes;
   }
 };
 
@@ -255,8 +218,7 @@ struct semisort_params {
 
   enum class sample_sorter : uint8_t {
     radix,      // §4 Phase 1's choice (PBBS-style top-down radix sort)
-    merge_sort, // Cole-style parallel mergesort (the §3 theoretical choice)
-    std_sort    // sequential std::sort (sanity baseline)
+    merge_sort  // Cole-style parallel mergesort (the §3 theoretical choice)
   };
   sample_sorter sample_sort_with = sample_sorter::radix;
 
@@ -267,36 +229,26 @@ struct semisort_params {
   probe_strategy probing = probe_strategy::linear;
 
   // Phase 3 placement engine. `adaptive` picks a scatter_path per run from
-  // n, the bucket count, and the record size (core/scatter.h's
-  // choose_scatter_path); the other values pin one path for ablation. The
-  // PARSEMI_SCATTER_PATH environment variable (cas / buffered / blocked /
-  // adaptive) overrides this knob without recompiling. `probing` applies to
-  // the CAS path only; requesting random probing pins the adaptive choice
-  // to CAS so the ablation measures what it names.
-  enum class scatter_strategy : uint8_t { adaptive, cas, buffered, blocked };
+  // n and the bucket count (core/scatter.h's choose_scatter_path); the
+  // other values pin one path for ablation. The PARSEMI_SCATTER_PATH
+  // environment variable (cas / blocked / adaptive) overrides this knob
+  // without recompiling. `probing` applies to the CAS path only;
+  // requesting random probing pins the adaptive choice to CAS so the
+  // ablation measures what it names.
+  enum class scatter_strategy : uint8_t { adaptive, cas, blocked };
   scatter_strategy scatter_with = scatter_strategy::adaptive;
 
   // Front-end dispatch *above* the pipeline (core/dispatch.h). `adaptive`
   // probes the key domain and takes the stable counting path when the keys
   // occupy a small dense integer domain, the general pipeline otherwise;
-  // `general` pins the paper's pipeline (no probe); `counting` / `unstable`
-  // force the integer fast paths, falling back to general — recorded in
-  // stats as dispatch_path_used == general with key_domain_width == 0 —
-  // when the domain is ineligible. The PARSEMI_DISPATCH_PATH environment
-  // variable (general / counting / unstable / adaptive) overrides this knob
-  // without recompiling, mirroring PARSEMI_SCATTER_PATH.
-  enum class dispatch_strategy : uint8_t { adaptive, general, counting, unstable };
+  // `general` pins the paper's pipeline (no probe); `counting` forces the
+  // integer fast path, falling back to general — recorded in stats as
+  // dispatch_path_used == general with key_domain_width == 0 — when the
+  // domain is ineligible. The PARSEMI_DISPATCH_PATH environment variable
+  // (general / counting / adaptive) overrides this knob without
+  // recompiling, mirroring PARSEMI_SCATTER_PATH.
+  enum class dispatch_strategy : uint8_t { adaptive, general, counting };
   dispatch_strategy dispatch_with = dispatch_strategy::adaptive;
-
-  // Out-of-core spill-I/O overlap (shard/shard_driver.h): `adaptive` lets
-  // the planner enable the dedicated I/O pool whenever the call spills
-  // across ≥ 2 shards, `on` / `off` pin the decision. The
-  // PARSEMI_SHARD_OVERLAP environment variable (on / off / adaptive)
-  // overrides this knob, mirroring the scatter/dispatch precedents. The
-  // decision lands in the plan (semisort_plan::overlap_io), never inline
-  // in the driver.
-  enum class overlap_strategy : uint8_t { adaptive, on, off };
-  overlap_strategy shard_overlap = overlap_strategy::adaptive;
 
   size_t pack_intervals = 1000;     // §4 Phase 5 heavy-region pack intervals
 

@@ -86,7 +86,6 @@ inline uint64_t fingerprint_params(const semisort_params& p) {
   h = fp_mix(h, static_cast<uint64_t>(p.probing));
   h = fp_mix(h, static_cast<uint64_t>(p.scatter_with));
   h = fp_mix(h, static_cast<uint64_t>(p.dispatch_with));
-  h = fp_mix(h, static_cast<uint64_t>(p.shard_overlap));
   h = fp_mix(h, p.pack_intervals);
   h = fp_mix(h, p.seed);
   h = fp_mix(h, static_cast<uint64_t>(p.max_retries));
@@ -108,25 +107,6 @@ inline size_t predict_bucket_count(size_t n, const semisort_params& params) {
   double light = sample / static_cast<double>(params.light_bucket_samples);
   size_t est = light < 1.0 ? 1 : static_cast<size_t>(light);
   return est > params.num_hash_ranges ? params.num_hash_ranges : est;
-}
-
-// Spill-I/O overlap decision. Precedence mirrors the scatter/dispatch
-// path overrides: PARSEMI_SHARD_OVERLAP env beats params.shard_overlap
-// beats the adaptive default (overlap whenever ≥ 2 shards take the spill
-// path — there is always a next run to prefetch). env_cstr never
-// allocates.
-inline bool resolve_overlap_io(const semisort_params& params,
-                               size_t num_shards) {
-  using strategy = semisort_params::overlap_strategy;
-  strategy s = params.shard_overlap;
-  const char* v = env_cstr("PARSEMI_SHARD_OVERLAP");
-  if (v != nullptr) {
-    if (std::strcmp(v, "on") == 0) s = strategy::on;
-    else if (std::strcmp(v, "off") == 0) s = strategy::off;
-    else if (std::strcmp(v, "adaptive") == 0) s = strategy::adaptive;
-  }
-  if (s == strategy::off) return false;
-  return num_shards >= 2;
 }
 
 // Worker count of the pool the plan will execute on (params.pool routing
@@ -157,7 +137,7 @@ inline void init_plan_binding(semisort_plan& plan, size_t n,
 // behaviour.
 template <typename Record, typename GetKey>
 bool plan_sharded_route(std::span<const Record> in, GetKey&& get_key,
-                        const semisort_params& params, semisort_plan& plan) {
+                        semisort_plan& plan) {
   if (plan.memory_budget == 0) return false;
   size_t n = in.size();
   if (scratch_model{}.footprint_bytes(n, sizeof(Record)) <=
@@ -167,7 +147,6 @@ bool plan_sharded_route(std::span<const Record> in, GetKey&& get_key,
   plan.shards = plan_shards(in, get_key, plan.memory_budget, scratch_model{});
   plan.probe_passes = 1;
   plan.probe_records = std::min(n, size_t{1} << 16);  // the strided sample
-  plan.overlap_io = resolve_overlap_io(params, plan.shards.num_shards);
   return true;
 }
 
@@ -191,19 +170,13 @@ void plan_in_memory(std::span<const Record> in, GetKey&& get_key,
     plan.domain_min = dom.min;
     plan.domain_width = dom.width;
     if (dom.dense) {
-      if (s == strategy::unstable) {
-        plan.dispatch = dispatch_path::unstable;
-        plan.counting_passes = 1;
-      } else {
-        plan.dispatch = dispatch_path::counting;
-        plan.counting_passes = dom.width <= kCountingOnePassMaxWidth ? 1 : 2;
-      }
+      plan.dispatch = dispatch_path::counting;
+      plan.counting_passes = dom.width <= kCountingOnePassMaxWidth ? 1 : 2;
     }
   }
   if (plan.dispatch == dispatch_path::general) {
     plan.predicted_buckets = predict_bucket_count(n, params);
-    plan.scatter =
-        choose_scatter_path(n, plan.predicted_buckets, sizeof(Record), params);
+    plan.scatter = choose_scatter_path(n, plan.predicted_buckets, params);
   }
 }
 
@@ -216,7 +189,7 @@ semisort_plan build_semisort_plan(std::span<const Record> in, GetKey&& get_key,
                                   pipeline_context& ctx) {
   semisort_plan plan;
   init_plan_binding(plan, in.size(), sizeof(Record), params);
-  if (plan_sharded_route(in, get_key, params, plan)) return plan;
+  if (plan_sharded_route(in, get_key, plan)) return plan;
   plan_in_memory(in, get_key, params, plan, ctx);
   return plan;
 }

@@ -1,41 +1,34 @@
 // Phase 3 — the scatter engine (§4 Phase 3; steps 6b and 7b of Alg. 1).
 //
-// Three interchangeable placement strategies behind one dispatch:
+// Two placement strategies behind one dispatch:
 //
 //   * CAS (the paper's §4 scatter, kept as baseline and ablation): every
 //     record claims a random slot of its bucket with a compare-and-swap,
 //     linear-probing on collision — one atomic and one random cache-line
 //     miss per record.
-//   * buffered: each worker stages records into cache-line-aligned
-//     write-combining buffers, one buffer per group of adjacent buckets
-//     (arena-allocated via pipeline_context). A full buffer is flushed by
-//     walking its runs of equal bucket ids: each run claims a slot range
-//     with a single fetch_add on the bucket's cursor and lands with one
-//     memcpy — near-sequential traffic instead of a CAS per record.
-//     IPS⁴o-style (Axtmann et al.).
-//   * blocked: two-pass counting for runs whose bucket count is small
-//     relative to n (Wu et al. 2023 style). Pass 1 builds per-block bucket
-//     histograms (primitives/histogram.h); a strided column scan over the
-//     (block × bucket) matrix (primitives/scan.h) turns them into exact
-//     placement offsets — overflow is detected here, before any slot is
-//     written; pass 2 places contention-free with zero atomics. Placement
-//     is deterministic and stable at every worker count.
+//   * blocked: two-pass exact counting for runs whose bucket count keeps
+//     the count matrix cache-friendly (Wu et al. 2023 style). Pass 1 builds
+//     per-block bucket histograms (primitives/histogram.h); a strided
+//     column scan over the (block × bucket) matrix (primitives/scan.h)
+//     turns them into exact placement offsets — overflow is detected here,
+//     before any slot is written; pass 2 places contention-free with zero
+//     atomics. Placement is deterministic and stable at every worker count.
 //
-// choose_scatter_path picks a strategy per run from n, the bucket count,
-// and the record size; semisort_params::scatter_with pins one, and the
+// choose_scatter_path picks a strategy per run from n and the bucket
+// count; semisort_params::scatter_with pins one, and the
 // PARSEMI_SCATTER_PATH environment variable overrides both (ablation
 // without recompiling).
 //
 // Slot claiming on the CAS path has two modes (the occupancy metadata they
-// maintain — key word vs flag byte — is shared by all three paths):
+// maintain — key word vs flag byte — is shared by both paths):
 //   * key-CAS (the paper's): for standard-layout records whose first 8
 //     bytes are the `key` word, the slot's key word doubles as the occupancy
 //     flag — empty slots hold a per-run random sentinel, and the CAS that
 //     claims a slot simultaneously writes the key. One atomic op and one
 //     cache line per record. A record whose key happens to equal the
 //     sentinel (probability n·2⁻⁶⁴) is detected and triggers a restart with
-//     a fresh sentinel, so correctness never depends on luck — the buffered
-//     and blocked paths perform the same check while staging/counting.
+//     a fresh sentinel, so correctness never depends on luck — the blocked
+//     path performs the same check while counting.
 //   * flag-array: for arbitrary record types, a byte per slot is CAS'd from
 //     0→1 and the record is then stored plainly (the parallel_for join that
 //     ends the phase publishes the stores).
@@ -176,20 +169,14 @@ struct scatter_storage {
     }
   }
 
-  // Exclusive-ownership stores for the buffered/blocked paths: the caller
-  // has claimed [first, first+count) (chunked fetch_add or counting pass),
-  // so plain writes suffice — the parallel_for join that ends the scatter
-  // publishes them. Marks the slots occupied (flag bytes in flag mode; in
-  // key-CAS mode the copied key words do it, the sentinel clash having been
-  // ruled out upstream).
+  // Exclusive-ownership store for the blocked path: the counting pass
+  // gave the caller slot `i`, so a plain write suffices — the parallel_for
+  // join that ends the scatter publishes it. Marks the slot occupied (flag
+  // byte in flag mode; in key-CAS mode the copied key word does it, the
+  // sentinel clash having been ruled out upstream).
   void place(size_t i, const Record& rec) {
     slots[i] = rec;
     if constexpr (!kKeyCas) flags[i] = 1;
-  }
-  void place_range(size_t first, const Record* src, size_t count) {
-    static_assert(std::is_trivially_copyable_v<Record>);
-    std::memcpy(slots.data() + first, src, count * sizeof(Record));
-    if constexpr (!kKeyCas) std::memset(flags + first, 1, count);
   }
 };
 
@@ -206,8 +193,8 @@ inline size_t probe_bin(size_t d) {
 }  // namespace internal
 
 // Concurrent probe-length accumulator, copied into semisort_stats by the
-// attempt loop. Stack-allocated by the caller only when stats were
-// requested; the nullptr fast path costs nothing.
+// attempt loop. The caller passes it only when stats were requested; the
+// nullptr fast path costs nothing.
 struct scatter_probe_stats {
   std::atomic<size_t> bins[semisort_stats::kProbeBins] = {};
   std::atomic<size_t> max{0};
@@ -326,156 +313,6 @@ scatter_result scatter_records(std::span<const Record> in,
   return scatter_result::ok;
 }
 
-namespace internal {
-
-// Flush size → semisort_stats::flush_hist bin (same bit_width convention as
-// probe_bin).
-inline size_t flush_bin(size_t records) {
-  return std::min<size_t>(std::bit_width(records),
-                          semisort_stats::kFlushBins - 1);
-}
-
-}  // namespace internal
-
-// Concurrent per-path telemetry, copied into semisort_stats by the attempt
-// loop. Stack-allocated by the caller only when stats were requested; the
-// nullptr fast path costs nothing. The CAS path fills `probe` only; the
-// buffered path fills the flush counters only; the blocked path fills
-// nothing (the attempt loop derives its atomics_saved = n directly).
-struct scatter_telemetry {
-  scatter_probe_stats probe;
-  std::atomic<size_t> flushes{0};
-  std::atomic<size_t> chunk_claims{0};
-  std::atomic<size_t> bytes_staged{0};
-  std::atomic<size_t> flush_hist[semisort_stats::kFlushBins] = {};
-};
-
-namespace internal {
-
-// Buffered-path shape: one write buffer per (worker lane × bucket group),
-// kScatterBufferBytes each. Grouping adjacent buckets (bucket_of ids are
-// contiguous: heavy buckets first, then light buckets in hash order) keeps
-// the buffer footprint bounded at kScatterMaxGroups lines per worker while
-// preserving run-locality: records sharing a bucket share a group, so a
-// flush usually finds long same-bucket runs and claims them with one
-// fetch_add each.
-inline constexpr size_t kScatterBufferBytes = 256;
-inline constexpr size_t kScatterMaxGroups = 2048;
-inline constexpr size_t kCacheLineBytes = 64;
-
-}  // namespace internal
-
-// Buffered scatter: stages records in per-worker write-combining buffers
-// and flushes whole same-bucket runs, claiming each run's slot range with a
-// single fetch_add on the bucket cursor (buckets fill front-to-back, so
-// occupied slots form a prefix and occupied()/local-sort/pack behave as on
-// the CAS path). All scratch comes from ctx's arena.
-template <typename Record, typename GetKey>
-scatter_result scatter_buffered(std::span<const Record> in,
-                                scatter_storage<Record>& storage,
-                                const bucket_plan& plan, GetKey get_key,
-                                pipeline_context& ctx,
-                                scatter_telemetry* telem = nullptr) {
-  size_t n = in.size();
-  size_t num_buckets = plan.num_buckets();
-  size_t buckets_per_group =
-      (num_buckets + internal::kScatterMaxGroups - 1) /
-      internal::kScatterMaxGroups;
-  size_t num_groups =
-      (num_buckets + buckets_per_group - 1) / buckets_per_group;
-  constexpr size_t cap =
-      std::max<size_t>(1, internal::kScatterBufferBytes / sizeof(Record));
-  size_t lanes = ctx.num_scratch_lanes();
-
-  arena& scratch = ctx.scratch;
-  // Per-bucket claim cursors (slots taken from the bucket's front so far).
-  size_t* cursor = scratch.alloc<size_t>(num_buckets);
-  parallel_for(0, num_buckets, [&](size_t b) { cursor[b] = 0; });
-  Record* bufs = scratch.alloc_aligned<Record>(lanes * num_groups * cap,
-                                               internal::kCacheLineBytes);
-  // Bucket id of each staged record (runs are found by scanning these) and
-  // the fill level of each buffer.
-  uint32_t* staged = scratch.alloc<uint32_t>(lanes * num_groups * cap);
-  uint32_t* fill = scratch.alloc<uint32_t>(lanes * num_groups);
-  parallel_for(0, lanes * num_groups, [&](size_t x) { fill[x] = 0; });
-
-  std::atomic<bool> overflow{false};
-  std::atomic<bool> clash{false};
-
-  // Flushes buffer `lg` holding `count` staged records. Safe from any
-  // thread that observes the buffer's writes (its own lane during the main
-  // loop; any worker during the post-join drain).
-  auto flush = [&](size_t lg, uint32_t count) {
-    Record* buf = bufs + lg * cap;
-    uint32_t* ids = staged + lg * cap;
-    size_t claims = 0;
-    for (uint32_t i = 0; i < count;) {
-      // Run detection is the flush's inner loop; simd::run_len_u32 compares
-      // 8 (AVX2) / 4 (SSE2) staged ids per step instead of one.
-      uint32_t j = i + simd::run_len_u32(ids + i, count - i);
-      size_t b = ids[i];
-      size_t len = j - i;
-      // Relaxed RMW per run, not per record: the sort above coalesces same-
-      // bucket records so this claims a whole run with one fetch_add, and
-      // slot ownership (not ordering) is what the claim provides.
-      size_t start = std::atomic_ref<size_t>(cursor[b])
-                         .fetch_add(len, std::memory_order_relaxed);
-      ++claims;
-      if (start + len > plan.capacity_of(b)) {
-        overflow.store(true, std::memory_order_relaxed);
-        return;
-      }
-      storage.place_range(plan.bucket_offset[b] + start, buf + i, len);
-      i = j;
-    }
-    if (telem != nullptr) {
-      telem->flushes.fetch_add(1, std::memory_order_relaxed);
-      telem->chunk_claims.fetch_add(claims, std::memory_order_relaxed);
-      telem->bytes_staged.fetch_add(count * sizeof(Record),
-                                    std::memory_order_relaxed);
-      telem->flush_hist[internal::flush_bin(count)].fetch_add(
-          1, std::memory_order_relaxed);
-    }
-  };
-
-  parallel_for(0, n, [&](size_t i) {
-    if (overflow.load(std::memory_order_relaxed) ||
-        clash.load(std::memory_order_relaxed))
-      return;
-    const Record& rec = in[i];
-    if constexpr (scatter_storage<Record>::kKeyCas) {
-      if (rec.key == storage.sentinel) {
-        clash.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-    size_t b = plan.bucket_of(get_key(rec));
-    size_t lg = ctx.scratch_lane() * num_groups + b / buckets_per_group;
-    uint32_t& c = fill[lg];
-    bufs[lg * cap + c] = rec;
-    staged[lg * cap + c] = static_cast<uint32_t>(b);
-    if (++c == cap) {
-      flush(lg, static_cast<uint32_t>(cap));
-      c = 0;
-    }
-  });
-
-  // Drain the partial buffers (the join above published every lane's
-  // writes). Skipped after a failure — the attempt restarts anyway.
-  if (!overflow.load(std::memory_order_relaxed) &&
-      !clash.load(std::memory_order_relaxed)) {
-    parallel_for(0, lanes * num_groups, [&](size_t lg) {
-      if (fill[lg] != 0) flush(lg, fill[lg]);
-    });
-  }
-
-  if (clash.load(std::memory_order_relaxed))
-    return scatter_result::sentinel_clash;
-  if (overflow.load(std::memory_order_relaxed))
-    return scatter_result::overflow;
-  return scatter_result::ok;
-}
-
 // Blocked two-pass counting scatter: per-block bucket histograms, a strided
 // column scan converting them to absolute destinations (with the overflow
 // check folded in, before any slot is touched), then contention-free
@@ -486,8 +323,7 @@ template <typename Record, typename GetKey>
 scatter_result scatter_blocked(std::span<const Record> in,
                                scatter_storage<Record>& storage,
                                const bucket_plan& plan, GetKey get_key,
-                               pipeline_context& ctx,
-                               scatter_telemetry* /*telem*/ = nullptr) {
+                               pipeline_context& ctx) {
   size_t n = in.size();
   size_t num_buckets = plan.num_buckets();
   size_t block = histogram_block_size(n, num_buckets);
@@ -536,26 +372,19 @@ scatter_result scatter_blocked(std::span<const Record> in,
 namespace internal {
 
 // Selection thresholds (rationale in DESIGN.md "Phase 3 — scattering"):
-// below kScatterSmallN the CAS path's constant factor wins and buffer/matrix
-// setup dominates; the blocked path needs enough records per bucket for its
-// two passes over the input to beat one contended pass, a count matrix that
-// stays cache-friendly, and cheap double-reads of the record; the buffered
-// path needs bucket groups coarse enough that buffers see runs.
+// below kScatterSmallN the CAS path's constant factor wins and the count
+// matrix's setup dominates; above kBlockedMaxBuckets the (block × bucket)
+// count matrix stops being cache-friendly.
 inline constexpr size_t kScatterSmallN = size_t{1} << 15;
 inline constexpr size_t kBlockedMaxBuckets = size_t{1} << 15;
-inline constexpr size_t kBlockedMinRecordsPerBucket = 32;
-inline constexpr size_t kBlockedMaxRecordBytes = 64;
-inline constexpr size_t kBufferedMaxBuckets = size_t{1} << 15;
 
-// PARSEMI_SCATTER_PATH=cas|buffered|blocked forces a path; "adaptive" or
-// anything unrecognized falls through to params + heuristic. getenv only —
-// no allocation (the zero-heap steady state covers this check).
+// PARSEMI_SCATTER_PATH=cas|blocked forces a path; "adaptive" or anything
+// unrecognized falls through to params + heuristic. getenv only — no
+// allocation (the zero-heap steady state covers this check).
 inline bool scatter_path_from_env(scatter_path& out) {
   const char* v = env_cstr("PARSEMI_SCATTER_PATH");
   if (v == nullptr) return false;
   if (std::strcmp(v, "cas") == 0) return out = scatter_path::cas, true;
-  if (std::strcmp(v, "buffered") == 0)
-    return out = scatter_path::buffered, true;
   if (std::strcmp(v, "blocked") == 0)
     return out = scatter_path::blocked, true;
   return false;
@@ -564,52 +393,40 @@ inline bool scatter_path_from_env(scatter_path& out) {
 }  // namespace internal
 
 // Picks the Phase 3 path for one run. Precedence: PARSEMI_SCATTER_PATH env
-// override, then params.scatter_with, then the (n, bucket count, record
-// size) heuristic. Random probing pins CAS — the probing ablation only
-// exists there.
+// override, then params.scatter_with, then the (n, bucket count)
+// heuristic: blocked when n ≥ 2^15 and there are ≤ 2^15 buckets, else the
+// paper's CAS. Random probing pins CAS — the probing ablation only exists
+// there.
 inline scatter_path choose_scatter_path(size_t n, size_t num_buckets,
-                                        size_t record_bytes,
                                         const semisort_params& params) {
   scatter_path forced;
   if (internal::scatter_path_from_env(forced)) return forced;
   switch (params.scatter_with) {
     case semisort_params::scatter_strategy::cas: return scatter_path::cas;
-    case semisort_params::scatter_strategy::buffered:
-      return scatter_path::buffered;
     case semisort_params::scatter_strategy::blocked:
       return scatter_path::blocked;
     case semisort_params::scatter_strategy::adaptive: break;
   }
   if (params.probing == semisort_params::probe_strategy::random)
     return scatter_path::cas;
-  if (n < internal::kScatterSmallN) return scatter_path::cas;
-  if (num_buckets <= internal::kBlockedMaxBuckets &&
-      num_buckets * internal::kBlockedMinRecordsPerBucket <= n &&
-      record_bytes <= internal::kBlockedMaxRecordBytes)
+  if (n >= internal::kScatterSmallN &&
+      num_buckets <= internal::kBlockedMaxBuckets)
     return scatter_path::blocked;
-  if (num_buckets <= internal::kBufferedMaxBuckets)
-    return scatter_path::buffered;
   return scatter_path::cas;
 }
 
-// Runs the chosen path. `telem` (optional) receives path-appropriate
-// counters: probe histogram on CAS, flush/claim/bytes on buffered.
+// Runs the chosen path. `probe` (optional, CAS only) receives the probe
+// histogram.
 template <typename Record, typename GetKey>
 scatter_result scatter_dispatch(scatter_path path, std::span<const Record> in,
                                 scatter_storage<Record>& storage,
                                 const bucket_plan& plan, GetKey get_key,
                                 const semisort_params& params, rng base,
                                 pipeline_context& ctx,
-                                scatter_telemetry* telem = nullptr) {
-  switch (path) {
-    case scatter_path::buffered:
-      return scatter_buffered(in, storage, plan, get_key, ctx, telem);
-    case scatter_path::blocked:
-      return scatter_blocked(in, storage, plan, get_key, ctx, telem);
-    case scatter_path::cas: break;
-  }
-  return scatter_records(in, storage, plan, get_key, params, base,
-                         telem != nullptr ? &telem->probe : nullptr);
+                                scatter_probe_stats* probe = nullptr) {
+  if (path == scatter_path::blocked)
+    return scatter_blocked(in, storage, plan, get_key, ctx);
+  return scatter_records(in, storage, plan, get_key, params, base, probe);
 }
 
 }  // namespace parsemi

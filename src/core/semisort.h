@@ -12,8 +12,8 @@
 //
 // Every call is plan-then-execute (ISSUE 10): the planner
 // (core/planner.h) makes at most one probe pass over the input and emits a
-// semisort_plan — dispatch path, scatter path, shard layout, overlap,
-// budget — which the executor (core/executor.h) runs verbatim. Plans are
+// semisort_plan — dispatch path, scatter path, shard layout, budget —
+// which the executor (core/executor.h) runs verbatim. Plans are
 // first-class values: build one with plan_semisort_hashed, inspect or
 // serialize it, and hand it back via semisort_params::plan to skip the
 // probes entirely on subsequent calls over the same key population.
@@ -24,6 +24,7 @@
 //   2. "construct buckets"  — heavy/light split, f(s)-sized bucket layout
 //   3. "scatter"            — one CAS write per record into its bucket
 //   4. "local sort"         — compact + sort each light bucket
+//      "stats"              — only with params.stats: the heavy-record count
 //   5. "pack"               — compact everything into the output
 // Bucket overflow (probability ≤ n^{-c+1}/log²n, Corollary 3.4) and the
 // astronomically-unlikely sentinel clash restart the run with doubled α /
@@ -83,7 +84,7 @@ void semisort_hashed_run(std::span<const Record> in, std::span<Record> out,
     validate_plan_binding(*plan, in.size(), sizeof(Record), params, who);
   } else {
     init_plan_binding(local, in.size(), sizeof(Record), params);
-    if (plan_sharded_route(in, get_key, params, local)) plan = &local;
+    if (plan_sharded_route(in, get_key, local)) plan = &local;
   }
 
   if (plan != nullptr && plan->sharded) {
@@ -127,7 +128,7 @@ semisort_plan plan_semisort_hashed(std::span<const Record> in,
   params.validate();
   semisort_plan plan;
   internal::init_plan_binding(plan, in.size(), sizeof(Record), params);
-  if (internal::plan_sharded_route(in, get_key, params, plan)) return plan;
+  if (internal::plan_sharded_route(in, get_key, plan)) return plan;
   internal::run_with_pool_override(params, [&] {
     internal::context_binding bind(params);
     internal::plan_in_memory(in, get_key, params, plan, bind.ctx());

@@ -1,16 +1,17 @@
 // The naming problem (§2): given n keys with m distinct values, assign each
 // distinct key a unique dense label in [O(m)].
 //
-// Solved with the phase-concurrent hash table exactly as the paper
-// describes: insert every key (winners get reserved label slots), then a
-// pack over the table assigns dense labels, then a lookup phase labels
-// every position. O(n) expected work, O(log n) depth w.h.p.
+// Solved with the phase-concurrent hash table as the paper describes:
+// insert every key, assign dense labels to the distinct keys, then a lookup
+// phase labels every position. O(n) expected work plus O(m log m) for the
+// label order, O(log n) depth w.h.p. for the table phases.
 //
 // Used by the Rajasekaran–Reif-style semisort (§3.2's comparison path,
 // which must reduce hash values to the range [n] before integer sorting)
 // and available as a standalone primitive.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -41,12 +42,18 @@ inline naming_result name_keys(std::span<const uint64_t> keys,
       expected_distinct == 0 ? n : expected_distinct);
   parallel_for(0, n, [&](size_t i) { table.insert(keys[i], 0); });
 
-  // Dense labels: one sweep over the table assigns 0,1,2,… to the occupied
-  // slots in place (a scan of O(capacity) — the same cost class as building
-  // the table).
-  uint32_t label = 0;
-  table.for_each_mutable([&](uint64_t, uint32_t& value) { value = label++; });
-  result.num_distinct = label;
+  // Dense labels in key order. Slot order depends on which concurrent
+  // insert won each collision, so labelling slots in order would make the
+  // labels differ from run to run; the rank of the key does not.
+  std::vector<uint64_t> distinct;
+  table.for_each([&](uint64_t key, uint32_t) { distinct.push_back(key); });
+  std::sort(distinct.begin(), distinct.end());
+  table.for_each_mutable([&](uint64_t key, uint32_t& value) {
+    value = static_cast<uint32_t>(
+        std::lower_bound(distinct.begin(), distinct.end(), key) -
+        distinct.begin());
+  });
+  result.num_distinct = distinct.size();
 
   // Lookup phase: label every position.
   parallel_for(0, n, [&](size_t i) {

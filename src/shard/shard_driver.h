@@ -23,16 +23,10 @@
 //                back-to-back in `out`, so the concatenation is implicit
 //                and every key's group is globally contiguous.
 //
-// Overlapped spill I/O (plan.overlap_io, ROADMAP item 2 follow-on): on the
-// spill path the driver owns a dedicated one-worker I/O pool behind a
-// job_gateway. Before computing shard k it submits a prefetch job for
-// shard k+1's run — madvise WILLNEED plus a one-byte-per-page touch, so
-// the read-back faults on the I/O worker while the compute pool semisorts
-// shard k — and joins that job before consuming run k+1. With overlap off
-// (plan or PARSEMI_SHARD_OVERLAP=off) the driver falls back to the plain
-// async WILLNEED hint. Either way each consumed run is dropped (DONTNEED)
-// so it stops competing with the budgeted working set. Overlapped
-// prefetches are counted in stats.overlapped_prefetches.
+// Spill reads are serial: before computing shard k the driver issues an
+// async WILLNEED hint for shard k+1's run, so kernel readahead proceeds
+// while the pool semisorts shard k, and each consumed run is dropped
+// (DONTNEED) so it stops competing with the budgeted working set.
 //
 // The budget is enforced w.h.p., not absolutely: the plan packs shards from
 // a sampled histogram with headroom, and a single dominant hash prefix
@@ -44,7 +38,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -54,7 +47,6 @@
 #include "core/pipeline_context.h"
 #include "primitives/histogram.h"
 #include "primitives/scan.h"
-#include "scheduler/job_gateway.h"
 #include "scheduler/scheduler.h"
 #include "shard/shard_plan.h"
 #include "shard/spill_file.h"
@@ -80,14 +72,8 @@ inline void accumulate_shard_stats(semisort_stats& agg,
   agg.sequential_fallbacks += s.sequential_fallbacks;
   agg.job_steals += s.job_steals;
   agg.job_queue_wait_ns += s.job_queue_wait_ns;
-  agg.scatter_flushes += s.scatter_flushes;
-  agg.scatter_chunk_claims += s.scatter_chunk_claims;
-  agg.scatter_bytes_staged += s.scatter_bytes_staged;
-  agg.scatter_atomics_saved += s.scatter_atomics_saved;
   for (size_t b = 0; b < semisort_stats::kProbeBins; ++b)
     agg.probe_hist[b] += s.probe_hist[b];
-  for (size_t b = 0; b < semisort_stats::kFlushBins; ++b)
-    agg.flush_hist[b] += s.flush_hist[b];
   agg.max_probe = std::max(agg.max_probe, s.max_probe);
   agg.shard_peak_scratch_bytes =
       std::max(agg.shard_peak_scratch_bytes, s.peak_scratch_bytes);
@@ -149,8 +135,6 @@ void execute_sharded_plan(std::span<const Record> in, std::span<Record> out,
     // the dispatch fast path's counting_place_stable shape, inlined here
     // because the driver also needs the per-shard totals for the ranges).
     pipeline_context drv_ctx;
-    drv_ctx.pool = params.pool != nullptr ? params.pool
-                                          : &worker_pool::resolve();
     std::vector<size_t> shard_begin(S + 1, 0);
     {
       arena_scope scope(drv_ctx.scratch);
@@ -195,36 +179,6 @@ void execute_sharded_plan(std::span<const Record> in, std::span<Record> out,
     }
     if (pt != nullptr) pt->record("partition");
 
-    // Overlapped spill I/O: a dedicated one-worker pool faults the next
-    // shard's run in while the compute pool works on the current one. The
-    // gateway (and its pending handle) must be destroyed before `spill`,
-    // so they are declared after it — destruction order joins every I/O
-    // job before the mapping goes away.
-    const bool overlap = plan.overlap_io && aliased && S >= 2;
-    std::optional<worker_pool> io_pool;
-    std::optional<job_gateway> io_gateway;
-    if (overlap) {
-      io_pool.emplace(1);
-      io_gateway.emplace(*io_pool);
-    }
-    size_t overlapped = 0;
-    job_handle pending;  // prefetch of the shard about to be consumed
-    auto submit_prefetch = [&](size_t lo, size_t hi) {
-      const size_t off = lo * kRecordBytes;
-      const size_t bytes = (hi - lo) * kRecordBytes;
-      spill.advise_willneed(off, bytes);  // kernel readahead starts now
-      const unsigned char* base =
-          reinterpret_cast<const unsigned char*>(spill.data()) + off;
-      return io_gateway->submit([base, bytes] {
-        // Touch one byte per page so the read-back faults on the I/O
-        // worker, not the compute pool. The volatile reads keep the loop.
-        const volatile unsigned char* p = base;
-        unsigned char acc = 0;
-        for (size_t i = 0; i < bytes; i += 4096) acc ^= p[i];
-        (void)acc;
-      });
-    };
-
     // Execute the in-memory engine shard by shard. One reused context: the
     // first shard warms the arena, the rest run allocation-free.
     pipeline_context shard_ctx;
@@ -234,19 +188,10 @@ void execute_sharded_plan(std::span<const Record> in, std::span<Record> out,
     semisort_stats agg{};
     for (size_t s = 0; s < S; ++s) {
       size_t lo = shard_begin[s], hi = shard_begin[s + 1];
-      // Join this shard's prefetch (submitted while shard s-1 computed)
-      // before consuming its run.
-      if (pending.valid()) pending.wait();
       if (aliased && s + 1 < S) {
-        // Start read-back of the next run while this shard computes.
-        if (overlap) {
-          pending = submit_prefetch(shard_begin[s + 1], shard_begin[s + 2]);
-          ++overlapped;
-        } else {
-          spill.advise_willneed(shard_begin[s + 1] * kRecordBytes,
-                                (shard_begin[s + 2] - shard_begin[s + 1]) *
-                                    kRecordBytes);
-        }
+        // Start readahead of the next run while this shard computes.
+        spill.advise_willneed(hi * kRecordBytes,
+                              (shard_begin[s + 2] - hi) * kRecordBytes);
       }
       if (hi != lo) {
         shard_stats = {};
@@ -261,7 +206,6 @@ void execute_sharded_plan(std::span<const Record> in, std::span<Record> out,
         if (inner.stats != nullptr) accumulate_shard_stats(agg, shard_stats);
       }
     }
-    if (pending.valid()) pending.release();
     if (pt != nullptr) pt->record("execute shards");
 
     if (params.stats != nullptr) {
@@ -274,7 +218,6 @@ void execute_sharded_plan(std::span<const Record> in, std::span<Record> out,
       st.n = n;
       st.shards = S;
       st.spilled_bytes = aliased ? n * kRecordBytes : 0;
-      st.overlapped_prefetches = overlapped;
       // The call's resident scratch is one engine's working set (shards are
       // sequential) plus the driver's partition matrix.
       st.peak_scratch_bytes = std::max(agg.shard_peak_scratch_bytes,

@@ -12,9 +12,9 @@
 // under memory pressure the kernel writes them to disk and drops them
 // instead of swapping, which is exactly what lets a memory-budgeted shard
 // run hold its working set while the spilled runs wait on disk. The madvise
-// helpers let the shard driver overlap I/O with compute (prefetch the next
-// shard's run while the pool semisorts the current one) and drop runs it
-// has finished with.
+// helpers let the shard driver start readahead of the next shard's run
+// while the pool semisorts the current one, and drop runs it has finished
+// with.
 #pragma once
 
 #include <fcntl.h>
@@ -90,7 +90,7 @@ class spill_file {
     return std::span<T>(reinterpret_cast<T*>(data_), size_ / sizeof(T));
   }
 
-  // I/O-overlap hints over a byte subrange (clamped; no-ops on an empty
+  // Readahead hints over a byte subrange (clamped; no-ops on an empty
   // file). willneed starts readahead for the next shard's run; dontneed
   // drops a consumed run's pages so they stop competing with the budgeted
   // working set.

@@ -121,21 +121,6 @@ inline size_t hole_prefix_len(const void* p, size_t stride, size_t count,
   return i;
 }
 
-// Length of the maximal prefix of ids[0..count) equal to ids[0].
-// (count == 0 returns 0.)
-inline uint32_t run_len_u32(const uint32_t* ids, uint32_t count) {
-  if (count == 0) return 0;
-  const uint32_t head = ids[0];
-  uint32_t j = 1;
-  // 4-wide check so the common long-run case retires 4 comparisons per
-  // branch even at tier 0.
-  while (j + 4 <= count && ids[j] == head && ids[j + 1] == head &&
-         ids[j + 2] == head && ids[j + 3] == head)
-    j += 4;
-  while (j < count && ids[j] == head) ++j;
-  return j;
-}
-
 }  // namespace scalar
 
 // ---------------------------------------------------------------------------
@@ -204,8 +189,8 @@ inline unsigned match_key4(const void* p, uint64_t needle) {
 }
 
 // occupied_prefix_len — the local-sort compaction kernel: how many leading
-// slots of a bucket hold a record (key word != sentinel). The buffered and
-// blocked scatter paths fill buckets front-to-back, so this prefix IS the
+// slots of a bucket hold a record (key word != sentinel). The blocked
+// scatter path fills buckets front-to-back, so this prefix IS the
 // bucket's record count and the per-slot compaction sweep disappears; the
 // CAS path uses it to skip the dense prefix before compacting. Rides the
 // match_key4 lane-extraction (sentinel hits are holes), 4 slots per step.
@@ -231,7 +216,7 @@ inline size_t occupied_prefix_len(const void* p, size_t count,
 // hole_prefix_len — the pack compaction kernel's dual scan: length of the
 // leading all-sentinel run. Together with occupied_prefix_len it walks
 // storage as alternating occupied/hole runs, so dense layouts (the
-// buffered/blocked scatter paths) compact with a handful of bulk moves
+// blocked scatter path) compact with a handful of bulk moves
 // instead of one copy per slot.
 template <size_t Stride>
 inline size_t hole_prefix_len(const void* p, size_t count, uint64_t sentinel) {
@@ -256,46 +241,6 @@ inline size_t hole_prefix_len(const void* p, size_t count, uint64_t sentinel) {
 template <size_t Stride>
 inline constexpr size_t probe_width() {
   return (Stride == 16 && kTier > 0) ? kWidthBits : 64;
-}
-
-// run_len_u32 — the buffered-scatter flush kernel: length of the leading
-// equal-id run. AVX2 compares 8 ids per step, SSE2 4; both fall back to the
-// scalar tail for the last partial vector.
-inline uint32_t run_len_u32(const uint32_t* ids, uint32_t count) {
-#if PARSEMI_SIMD_TIER >= 2
-  if (count == 0) return 0;
-  const uint32_t head = ids[0];
-  const __m256i h = _mm256_set1_epi32(static_cast<int>(head));
-  uint32_t j = 1;
-  while (j + 8 <= count) {
-    __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ids + j));
-    unsigned eq = static_cast<unsigned>(
-        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(v, h))));
-    if (eq != 0xffu) {
-      // First mismatching lane ends the run.
-      return j + static_cast<uint32_t>(__builtin_ctz(~eq & 0xffu));
-    }
-    j += 8;
-  }
-  while (j < count && ids[j] == head) ++j;
-  return j;
-#elif PARSEMI_SIMD_TIER == 1
-  if (count == 0) return 0;
-  const uint32_t head = ids[0];
-  const __m128i h = _mm_set1_epi32(static_cast<int>(head));
-  uint32_t j = 1;
-  while (j + 4 <= count) {
-    __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(ids + j));
-    unsigned eq = static_cast<unsigned>(
-        _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(v, h))));
-    if (eq != 0xfu) return j + static_cast<uint32_t>(__builtin_ctz(~eq & 0xfu));
-    j += 4;
-  }
-  while (j < count && ids[j] == head) ++j;
-  return j;
-#else
-  return scalar::run_len_u32(ids, count);
-#endif
 }
 
 // copy_records — the pack kernel. For trivially-copyable records one

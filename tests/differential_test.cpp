@@ -61,12 +61,12 @@ semisort_params random_params(rng& r) {
   p.probing = r.next_below(4) == 0 ? semisort_params::probe_strategy::random
                                    : semisort_params::probe_strategy::linear;
   p.scatter_with =
-      static_cast<semisort_params::scatter_strategy>(r.next_below(4));
+      static_cast<semisort_params::scatter_strategy>(r.next_below(3));
   p.local_sort = r.next_below(4) == 0
                      ? semisort_params::local_sort_algo::counting_by_naming
                      : semisort_params::local_sort_algo::std_sort;
   p.sample_sort_with =
-      static_cast<semisort_params::sample_sorter>(r.next_below(3));
+      static_cast<semisort_params::sample_sorter>(r.next_below(2));
   p.pack_intervals = 1 + r.next_below(5000);
   p.seed = r.next();
   return p;

@@ -9,8 +9,6 @@
 //     the stable sort by key — the strongest form of determinism — at
 //     every worker count, fuzzed schedule, and entry point (copying and
 //     in-place);
-//   * unstable path: group-equivalent — exact per-key multiset equality
-//     plus contiguous groups;
 //   * derived operators (count_by_key, group_by_index, collect_reduce):
 //     results equal to the general pipeline's up to the operators'
 //     documented order freedom.
@@ -115,8 +113,7 @@ std::optional<std::string> all_paths_agree(const dd_config& c) {
       stable_ref.begin(), stable_ref.end(),
       [](const record& a, const record& b) { return a.key < b.key; });
 
-  for (strategy s :
-       {strategy::adaptive, strategy::counting, strategy::unstable}) {
+  for (strategy s : {strategy::adaptive, strategy::counting}) {
     semisort_params params;
     params.dispatch_with = s;
     params.seed = c.data_seed;
@@ -164,7 +161,7 @@ std::optional<std::string> all_paths_agree(const dd_config& c) {
   auto general_counts =
       sorted_pairs(count_by_key(std::span<const uint64_t>(keys), hash,
                                 std::equal_to<>{}, general_params));
-  for (strategy s : {strategy::adaptive, strategy::unstable}) {
+  for (strategy s : {strategy::adaptive, strategy::counting}) {
     semisort_params params;
     params.dispatch_with = s;
     auto got = sorted_pairs(count_by_key(std::span<const uint64_t>(keys),
@@ -184,7 +181,7 @@ std::optional<std::string> all_paths_agree(const dd_config& c) {
   };
   auto general_groups =
       index_groups(group_by_index(in_span, record_key{}, general_params));
-  for (strategy s : {strategy::adaptive, strategy::unstable}) {
+  for (strategy s : {strategy::adaptive, strategy::counting}) {
     semisort_params params;
     params.dispatch_with = s;
     auto got = index_groups(group_by_index(in_span, record_key{}, params));

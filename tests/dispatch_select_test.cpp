@@ -159,8 +159,10 @@ TEST(DispatchSelect, EnvOverridePrecedence) {
     EXPECT_EQ(internal::resolve_dispatch_strategy(p), strategy::counting);
   }
   {
+    // "unstable" is not a dispatch strategy: it falls through like any
+    // unknown value, here to the params pin.
     scoped_env env("PARSEMI_DISPATCH_PATH", "unstable");
-    EXPECT_EQ(internal::resolve_dispatch_strategy(p), strategy::unstable);
+    EXPECT_EQ(internal::resolve_dispatch_strategy(p), strategy::general);
   }
   p.dispatch_with = strategy::counting;
   {
@@ -187,11 +189,6 @@ TEST(DispatchSelect, StatsReportChosenPathEndToEnd) {
   EXPECT_EQ(adaptive.key_domain_width, 50000u);
   EXPECT_EQ(adaptive.counting_passes, 1u);
   EXPECT_EQ(adaptive.restarts, 0);
-
-  semisort_stats unstable = run_semisort(dense, strategy::unstable);
-  EXPECT_EQ(unstable.dispatch_path_used, dispatch_path::unstable);
-  EXPECT_EQ(unstable.key_domain_width, 50000u);
-  EXPECT_EQ(unstable.counting_passes, 1u);
 
   // Pinned general: no probe, no width.
   semisort_stats general = run_semisort(dense, strategy::general);
@@ -270,17 +267,6 @@ TEST(DispatchSelect, InplaceEntryMatchesCopyingEntry) {
   semisort_hashed_inplace(std::span<record>(data), record_key{}, params);
   EXPECT_EQ(stats.dispatch_path_used, dispatch_path::counting);
   EXPECT_EQ(data, copied);
-}
-
-TEST(DispatchSelect, UnstableGroupsAreExact) {
-  auto dense = dense_records(100000, 17, 25000);
-  std::vector<record> out;
-  run_semisort(dense, strategy::unstable, &out);
-  auto got = testing::key_counts(std::span<const record>(out), record_key{});
-  auto want =
-      testing::key_counts(std::span<const record>(dense), record_key{});
-  EXPECT_EQ(got.size(), want.size());
-  for (auto& [k, cnt] : want) EXPECT_EQ(got.at(k), cnt) << "key " << k;
 }
 
 TEST(DispatchSelect, CountByKeyDefaultsToOffsetsAndShrinksScratch) {

@@ -1,6 +1,6 @@
 // Stress for the front-end dispatch (core/dispatch.h): the full operator
 // sweep from derived_ops_stress, but with *dense integer* keys so the
-// counting / unstable / offsets paths actually engage — through ONE shared
+// counting / offsets paths actually engage — through ONE shared
 // pipeline_context across all trials, under varying worker counts and
 // perturbed schedules. Each trial forces one dispatch strategy; identity
 // hashes route even the tag-spine operators (map_reduce, equi_join,
@@ -53,7 +53,7 @@ struct dsp_config {
 };
 
 constexpr strategy kStrategies[] = {strategy::adaptive, strategy::counting,
-                                    strategy::unstable, strategy::general};
+                                    strategy::general};
 
 dsp_config generate(rng& r) {
   dsp_config c;
@@ -63,7 +63,7 @@ dsp_config generate(rng& r) {
   // ineligible (≥ 2n → forced strategies must fall back to general).
   c.width = proptest::log_uniform_u64(r, 1, 4 * c.n + 70000);
   c.base = r.next_below(2) ? 0 : r.next_below(1u << 20);
-  c.strat = static_cast<int>(r.next_below(4));
+  c.strat = static_cast<int>(r.next_below(std::size(kStrategies)));
   c.op = static_cast<int>(r.next_below(9));
   c.workers = static_cast<int>(proptest::pick(r, {0, 0, 2, 4}));
   c.fuzz_seed = proptest::chance(r, 0.4) ? r.next() | 1 : 0;

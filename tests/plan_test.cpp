@@ -8,7 +8,9 @@
 //   * reuse — a cached plan executes with zero probe passes and produces
 //     an equivalent grouping via the same paths;
 //   * binding — a plan is rejected (std::invalid_argument) for a call with
-//     a different n or different planning-relevant params;
+//     a different n or different planning-relevant params, and a counting
+//     plan reused on keys outside its domain falls back to the general
+//     pipeline;
 //   * overrides — forced scatter/dispatch strategies land in the plan
 //     verbatim and the execution follows them.
 #include <gtest/gtest.h>
@@ -95,8 +97,6 @@ TEST(PlanTest, ShardedRoutePaysOnlyTheShardSample) {
   // reflects the strided shard sample only.
   EXPECT_FALSE(plan.domain_dense);
   EXPECT_LE(plan.probe_records, size_t{1} << 16);
-  // The adaptive overlap default turns on whenever >= 2 shards spill.
-  EXPECT_TRUE(plan.overlap_io);
 }
 
 TEST(PlanTest, DenseRawKeysPlanTheCountingPath) {
@@ -117,8 +117,6 @@ TEST(PlanTest, ForcedScatterPathLandsInThePlan) {
   for (auto [strategy, path] :
        {std::pair{semisort_params::scatter_strategy::blocked,
                   scatter_path::blocked},
-        std::pair{semisort_params::scatter_strategy::buffered,
-                  scatter_path::buffered},
         std::pair{semisort_params::scatter_strategy::cas,
                   scatter_path::cas}}) {
     semisort_params params;
@@ -138,14 +136,43 @@ TEST(PlanTest, ForcedScatterPathLandsInThePlan) {
   }
 }
 
-TEST(PlanTest, ForcedUnstableDispatchLandsInThePlan) {
-  auto raw = generate_records_raw(kN, {distribution_kind::uniform, 50000}, 6);
-  semisort_params params;
-  params.dispatch_with = semisort_params::dispatch_strategy::unstable;
-  semisort_plan plan = plan_semisort_hashed(std::span<const record>(raw),
-                                            record_key{}, params);
-  EXPECT_EQ(plan.dispatch, dispatch_path::unstable);
-  EXPECT_TRUE(plan.domain_dense);
+// Records with keys lo, lo+1, …, lo+width-1 repeated to length kN.
+std::vector<record> dense_keys(uint64_t lo, uint64_t width) {
+  std::vector<record> v(kN);
+  for (size_t i = 0; i < kN; ++i) v[i] = {lo + i % width, i};
+  return v;
+}
+
+TEST(PlanTest, CountingPlanReusedOutsideItsDomainFallsBack) {
+  // One-pass (width 1000) and two-pass radix (width 100000) plans, each
+  // reused on a same-n input shifted above and below the planned domain.
+  // The count pass must catch the stray keys before any record moves.
+  for (uint64_t width : {uint64_t{1000}, uint64_t{100000}}) {
+    auto planned = dense_keys(1'000'000, width);
+    semisort_plan plan = plan_semisort_hashed(
+        std::span<const record>(planned), record_key{});
+    ASSERT_EQ(plan.dispatch, dispatch_path::counting);
+    ASSERT_EQ(plan.counting_passes, width <= 65536 ? 1u : 2u);
+    for (uint64_t lo : {uint64_t{1'000'000} + 5 * width, uint64_t{0}}) {
+      auto in = dense_keys(lo, width);
+      semisort_stats stats;
+      semisort_params params;
+      params.stats = &stats;
+      params.plan = &plan;
+      std::vector<record> out(kN);
+      semisort_hashed(std::span<const record>(in), std::span<record>(out),
+                      record_key{}, params);
+      EXPECT_EQ(stats.dispatch_path_used, dispatch_path::general);
+      EXPECT_EQ(stats.key_domain_width, 0u);
+      EXPECT_GT(stats.total_slots, 0u);  // the general pipeline ran
+      EXPECT_TRUE(testing::valid_semisort(out, in));
+      // In place: the rejected counting pass must leave the data intact.
+      std::vector<record> data(in);
+      semisort_hashed_inplace(std::span<record>(data), record_key{}, params);
+      EXPECT_EQ(stats.dispatch_path_used, dispatch_path::general);
+      EXPECT_TRUE(testing::valid_semisort(data, in));
+    }
+  }
 }
 
 TEST(PlanTest, ReuseSkipsProbesAndExecutesTheSamePaths) {

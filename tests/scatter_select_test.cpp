@@ -1,9 +1,9 @@
 // Tier-1 tests for the adaptive scatter-path selection (core/scatter.h):
-// canned (n, bucket count, record size) corners of the heuristic, the
-// params override, the PARSEMI_SCATTER_PATH environment override — all
-// asserted both directly against choose_scatter_path and end-to-end through
+// canned (n, bucket count) corners of the heuristic, the params override,
+// the PARSEMI_SCATTER_PATH environment override — all asserted both
+// directly against choose_scatter_path and end-to-end through
 // semisort_stats::scatter_path_used — and the per-path telemetry contract
-// (probe histogram only on CAS, flush counters only on buffered).
+// (probe histogram only on CAS).
 #include "core/scatter.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/semisort.h"
+#include "hashing/hash64.h"
 #include "test_helpers.h"
 #include "workloads/distributions.h"
 
@@ -35,69 +36,87 @@ using strategy = semisort_params::scatter_strategy;
 
 TEST(ScatterSelect, HeuristicCorners) {
   semisort_params p;  // adaptive, linear probing
-  // The default pipeline shape at n = 10^7: few thousand buckets, 16-byte
-  // records — blocked.
-  EXPECT_EQ(choose_scatter_path(10'000'000, 6500, 16, p),
-            scatter_path::blocked);
-  // Large records read twice hurt the blocked path — buffered.
-  EXPECT_EQ(choose_scatter_path(10'000'000, 6500, 128, p),
-            scatter_path::buffered);
-  // Too few records per bucket for two counting passes — buffered.
-  EXPECT_EQ(choose_scatter_path(100'000, 10'000, 16, p),
-            scatter_path::buffered);
-  // Bucket count past both paths' limits — CAS.
-  EXPECT_EQ(choose_scatter_path(10'000'000, 40'000, 16, p), scatter_path::cas);
+  // The default pipeline shape at n = 10^7: a few thousand buckets.
+  EXPECT_EQ(choose_scatter_path(10'000'000, 6500, p), scatter_path::blocked);
+  // Few records per bucket still take the exact-count path.
+  EXPECT_EQ(choose_scatter_path(100'000, 10'000, p), scatter_path::blocked);
+  // Bucket count past the count matrix's ceiling — CAS.
+  EXPECT_EQ(choose_scatter_path(10'000'000, 40'000, p), scatter_path::cas);
   // Small inputs never leave the CAS baseline.
-  EXPECT_EQ(choose_scatter_path(10'000, 100, 16, p), scatter_path::cas);
+  EXPECT_EQ(choose_scatter_path(10'000, 100, p), scatter_path::cas);
+  // Both thresholds are inclusive at 2^15.
+  constexpr size_t k = size_t{1} << 15;
+  EXPECT_EQ(choose_scatter_path(k, k, p), scatter_path::blocked);
+  EXPECT_EQ(choose_scatter_path(k - 1, 100, p), scatter_path::cas);
+  EXPECT_EQ(choose_scatter_path(10'000'000, k + 1, p), scatter_path::cas);
+}
+
+// A 128-byte record: record size no longer steers the selector, so the
+// default plan at n = 10^5 takes the blocked path.
+struct wide_record {
+  uint64_t key;
+  uint64_t pad[15];
+};
+static_assert(sizeof(wide_record) == 128);
+
+TEST(ScatterSelect, WideRecordDefaultsToBlocked) {
+  std::vector<wide_record> in(100'000);
+  for (size_t i = 0; i < in.size(); ++i) in[i] = {hash64(i % 1000), {}};
+  auto key = [](const wide_record& r) { return r.key; };
+  semisort_plan plan =
+      plan_semisort_hashed(std::span<const wide_record>(in), key);
+  EXPECT_EQ(plan.dispatch, dispatch_path::general);
+  EXPECT_EQ(plan.scatter, scatter_path::blocked);
 }
 
 TEST(ScatterSelect, RandomProbingPinsCas) {
   semisort_params p;
   p.probing = semisort_params::probe_strategy::random;
-  EXPECT_EQ(choose_scatter_path(10'000'000, 6500, 16, p), scatter_path::cas);
+  EXPECT_EQ(choose_scatter_path(10'000'000, 6500, p), scatter_path::cas);
 }
 
 TEST(ScatterSelect, ParamsOverrideBeatsHeuristic) {
   semisort_params p;
-  p.scatter_with = strategy::buffered;
-  EXPECT_EQ(choose_scatter_path(10'000, 100, 16, p), scatter_path::buffered);
   p.scatter_with = strategy::blocked;
-  EXPECT_EQ(choose_scatter_path(10'000, 100, 16, p), scatter_path::blocked);
+  EXPECT_EQ(choose_scatter_path(10'000, 100, p), scatter_path::blocked);
   p.scatter_with = strategy::cas;
-  EXPECT_EQ(choose_scatter_path(10'000'000, 6500, 16, p), scatter_path::cas);
+  EXPECT_EQ(choose_scatter_path(10'000'000, 6500, p), scatter_path::cas);
 }
 
 TEST(ScatterSelect, EnvOverrideForcesEachPath) {
   semisort_params p;
   p.scatter_with = strategy::cas;  // env must win over the params pin
   {
-    scoped_env env("PARSEMI_SCATTER_PATH", "buffered");
-    EXPECT_EQ(choose_scatter_path(10'000, 100, 16, p),
-              scatter_path::buffered);
-  }
-  {
     scoped_env env("PARSEMI_SCATTER_PATH", "blocked");
-    EXPECT_EQ(choose_scatter_path(10'000, 100, 16, p), scatter_path::blocked);
+    EXPECT_EQ(choose_scatter_path(10'000, 100, p), scatter_path::blocked);
   }
   p.scatter_with = strategy::blocked;
   {
     scoped_env env("PARSEMI_SCATTER_PATH", "cas");
-    EXPECT_EQ(choose_scatter_path(10'000'000, 6500, 16, p),
-              scatter_path::cas);
+    EXPECT_EQ(choose_scatter_path(10'000'000, 6500, p), scatter_path::cas);
   }
   // "adaptive" (and unknown values) fall through to params + heuristic.
   {
     scoped_env env("PARSEMI_SCATTER_PATH", "adaptive");
-    EXPECT_EQ(choose_scatter_path(10'000'000, 6500, 16, p),
-              scatter_path::blocked);
+    EXPECT_EQ(choose_scatter_path(10'000'000, 6500, p), scatter_path::blocked);
     p.scatter_with = strategy::adaptive;
-    EXPECT_EQ(choose_scatter_path(10'000'000, 6500, 16, p),
-              scatter_path::blocked);
+    EXPECT_EQ(choose_scatter_path(10'000'000, 6500, p), scatter_path::blocked);
   }
   {
     scoped_env env("PARSEMI_SCATTER_PATH", "warp-drive");
-    EXPECT_EQ(choose_scatter_path(10'000, 100, 16, p), scatter_path::cas);
+    EXPECT_EQ(choose_scatter_path(10'000, 100, p), scatter_path::cas);
   }
+}
+
+TEST(ScatterSelect, EnvBufferedFallsThroughToParams) {
+  // "buffered" is not a scatter path: like any unknown value it falls
+  // through to the params pin, then to the heuristic.
+  scoped_env env("PARSEMI_SCATTER_PATH", "buffered");
+  semisort_params p;
+  p.scatter_with = strategy::cas;
+  EXPECT_EQ(choose_scatter_path(10'000'000, 6500, p), scatter_path::cas);
+  p.scatter_with = strategy::adaptive;
+  EXPECT_EQ(choose_scatter_path(10'000'000, 6500, p), scatter_path::blocked);
 }
 
 // One semisort run with the given strategy; returns stats and verifies the
@@ -118,19 +137,13 @@ semisort_stats run_semisort(const std::vector<record>& in, strategy s) {
 TEST(ScatterSelect, StatsReportChosenPathEndToEnd) {
   auto in = generate_records(200'000, {distribution_kind::uniform, 2000}, 21);
 
-  // Default pipeline at this size: small bucket count, 16-byte records —
-  // the adaptive selector must choose blocked, and the blocked run reports
-  // zero placement atomics.
+  // Default pipeline at this size: small bucket count — the adaptive
+  // selector must choose blocked.
   semisort_stats adaptive = run_semisort(in, strategy::adaptive);
   EXPECT_EQ(adaptive.scatter_path_used, scatter_path::blocked);
-  EXPECT_EQ(adaptive.scatter_chunk_claims, 0u);
-  EXPECT_EQ(adaptive.scatter_atomics_saved, adaptive.n);
 
   semisort_stats cas = run_semisort(in, strategy::cas);
   EXPECT_EQ(cas.scatter_path_used, scatter_path::cas);
-
-  semisort_stats buffered = run_semisort(in, strategy::buffered);
-  EXPECT_EQ(buffered.scatter_path_used, scatter_path::buffered);
 
   semisort_stats blocked = run_semisort(in, strategy::blocked);
   EXPECT_EQ(blocked.scatter_path_used, scatter_path::blocked);
@@ -138,43 +151,25 @@ TEST(ScatterSelect, StatsReportChosenPathEndToEnd) {
 
 TEST(ScatterSelect, EnvOverrideForcesPathEndToEnd) {
   auto in = generate_records(100'000, {distribution_kind::uniform, 1000}, 22);
-  scoped_env env("PARSEMI_SCATTER_PATH", "buffered");
+  scoped_env env("PARSEMI_SCATTER_PATH", "blocked");
   // Even with params pinning CAS, the env override wins.
   semisort_stats stats = run_semisort(in, strategy::cas);
-  EXPECT_EQ(stats.scatter_path_used, scatter_path::buffered);
+  EXPECT_EQ(stats.scatter_path_used, scatter_path::blocked);
 }
 
 TEST(ScatterSelect, TelemetryIsPathConditional) {
   auto in = generate_records(150'000, {distribution_kind::zipfian, 50'000}, 23);
 
-  // CAS: probe histogram populated, flush counters untouched.
+  // CAS: every record lands in the probe histogram.
   semisort_stats cas = run_semisort(in, strategy::cas);
   size_t probed = 0;
   for (size_t b : cas.probe_hist) probed += b;
   EXPECT_EQ(probed, cas.n);
-  EXPECT_EQ(cas.scatter_flushes, 0u);
-  EXPECT_EQ(cas.scatter_bytes_staged, 0u);
-  EXPECT_EQ(cas.scatter_atomics_saved, 0u);
 
-  // Buffered: every record staged exactly once, claims ≤ flush-run count,
-  // probe histogram untouched.
-  semisort_stats buffered = run_semisort(in, strategy::buffered);
-  EXPECT_GT(buffered.scatter_flushes, 0u);
-  EXPECT_GT(buffered.scatter_chunk_claims, 0u);
-  EXPECT_EQ(buffered.scatter_bytes_staged, buffered.n * sizeof(record));
-  EXPECT_EQ(buffered.scatter_atomics_saved,
-            buffered.n - buffered.scatter_chunk_claims);
-  size_t flush_total = 0;
-  for (size_t b : buffered.flush_hist) flush_total += b;
-  EXPECT_EQ(flush_total, buffered.scatter_flushes);
-  for (size_t b : buffered.probe_hist) EXPECT_EQ(b, 0u);
-  EXPECT_EQ(buffered.max_probe, 0u);
-
-  // Blocked: no probes, no flushes, all placement atomics saved.
+  // Blocked: no probes.
   semisort_stats blocked = run_semisort(in, strategy::blocked);
   for (size_t b : blocked.probe_hist) EXPECT_EQ(b, 0u);
-  EXPECT_EQ(blocked.scatter_flushes, 0u);
-  EXPECT_EQ(blocked.scatter_atomics_saved, blocked.n);
+  EXPECT_EQ(blocked.max_probe, 0u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Tests for Phase 3 — the scatter engine: all three placement paths (CAS
-// with linear/random probing, buffered chunk-claiming, blocked two-pass
-// counting), both slot claiming modes (key-CAS and flag-array), sentinel
+// Tests for Phase 3 — the scatter engine: both placement paths (CAS with
+// linear/random probing, blocked two-pass counting), both slot claiming
+// modes (key-CAS and flag-array), sentinel
 // clash and overflow detection on every path, and the blocked path's
 // deterministic stable placement.
 #include "core/scatter.h"
@@ -34,8 +34,8 @@ struct odd_key {
 };
 
 // 12-byte record — an odd (non-power-of-two, sub-cache-line) size on the
-// flag-array variant, so the buffered path's memcpy flushes and the blocked
-// path's placement handle ranges that straddle cache lines unevenly.
+// flag-array variant, so the CAS path's claims and the blocked path's
+// placement handle slots that straddle cache lines unevenly.
 struct tiny_record {
   uint32_t lo;
   uint32_t hi;
@@ -63,8 +63,8 @@ static_assert(!scatter_storage<odd_record>::kKeyCas,
 static_assert(!scatter_storage<tiny_record>::kKeyCas,
               "tiny_record must take the flag-array path");
 
-constexpr scatter_path kAllPaths[] = {
-    scatter_path::cas, scatter_path::buffered, scatter_path::blocked};
+constexpr scatter_path kAllPaths[] = {scatter_path::cas,
+                                      scatter_path::blocked};
 
 template <typename Record, typename GetKey>
 std::pair<bucket_plan, std::vector<Record>> plan_for(
@@ -97,8 +97,8 @@ void check_scatter(const std::vector<Record>& in, GetKey get_key, Less less,
   ASSERT_EQ(found.size(), input.size());
   EXPECT_TRUE(testing::is_permutation_of(std::span<const Record>(found),
                                          std::span<const Record>(input), less));
-  // Placement respects bucket boundaries; the buffered and blocked paths
-  // additionally fill each bucket front-to-back (occupancy is a prefix).
+  // Placement respects bucket boundaries; the blocked path additionally
+  // fills each bucket front-to-back (occupancy is a prefix).
   for (size_t b = 0; b < plan.num_buckets(); ++b) {
     bool gap = false;
     for (size_t i = plan.bucket_offset[b]; i < plan.bucket_offset[b + 1]; ++i) {
@@ -153,25 +153,10 @@ TEST(Scatter, RandomProbingAblation) {
   check_scatter(in, record_key{}, rec_less, params);
 }
 
-TEST(Scatter, BufferedPathKeyCasRecords) {
-  auto in = generate_records(100000, {distribution_kind::uniform, 5000}, 11);
-  check_scatter(in, record_key{}, rec_less, semisort_params{},
-                scatter_path::buffered);
-}
-
 TEST(Scatter, BlockedPathKeyCasRecords) {
   auto in = generate_records(100000, {distribution_kind::zipfian, 100000}, 12);
   check_scatter(in, record_key{}, rec_less, semisort_params{},
                 scatter_path::blocked);
-}
-
-TEST(Scatter, BufferedPathFlagModeOddRecords) {
-  std::vector<odd_record> in(60000);
-  rng r(13);
-  for (size_t i = 0; i < in.size(); ++i)
-    in[i] = {static_cast<uint32_t>(i), hash64(r.next_below(700))};
-  check_scatter(in, odd_key{}, odd_less, semisort_params{},
-                scatter_path::buffered);
 }
 
 TEST(Scatter, BlockedPathFlagModeOddRecords) {
@@ -184,8 +169,8 @@ TEST(Scatter, BlockedPathFlagModeOddRecords) {
 }
 
 TEST(Scatter, TwelveByteRecordsAllPaths) {
-  // 12-byte flag-array records: the buffered path's per-buffer capacity
-  // (256/12 = 21 records) and its memcpy flushes get genuinely odd sizes.
+  // 12-byte flag-array records on both paths: slot offsets that are not a
+  // power of two, with flag bytes tracking occupancy.
   std::vector<tiny_record> in(50000);
   rng r(15);
   for (size_t i = 0; i < in.size(); ++i) {
@@ -244,15 +229,15 @@ TEST(Scatter, OverflowDetectedWhenBucketsTooSmallOnEveryPath) {
   }
 }
 
-TEST(Scatter, BufferedSentinelClashTriggersSemisortRestart) {
-  // End-to-end: a semisort forced onto the buffered path whose first
+TEST(Scatter, BlockedSentinelClashTriggersSemisortRestart) {
+  // End-to-end: a semisort forced onto the blocked path whose first
   // attempt draws a sentinel colliding with an input key must restart with
   // a fresh sentinel and still produce a valid semisort. Plant the colliding
   // key by computing the sentinel the first attempt will draw.
   size_t n = 40000;
   auto in = generate_records(n, {distribution_kind::uniform, 500}, 16);
   semisort_params params;
-  params.scatter_with = semisort_params::scatter_strategy::buffered;
+  params.scatter_with = semisort_params::scatter_strategy::blocked;
   // Attempt 0 seeds its rng exactly like semisort_attempt does.
   rng attempt0(splitmix64(params.seed + 0x9e3779b9ULL * 0));
   in[77].key = attempt0.split(2).next() | 1;  // the attempt-0 sentinel
@@ -262,7 +247,7 @@ TEST(Scatter, BufferedSentinelClashTriggersSemisortRestart) {
   semisort_hashed(std::span<const record>(in), std::span<record>(out),
                   record_key{}, params);
   EXPECT_GE(stats.restarts, 1);
-  EXPECT_EQ(stats.scatter_path_used, scatter_path::buffered);
+  EXPECT_EQ(stats.scatter_path_used, scatter_path::blocked);
   EXPECT_TRUE(testing::valid_semisort(std::span<const record>(out),
                                       std::span<const record>(in)));
 }

@@ -86,11 +86,6 @@ std::vector<ParamCase> param_cases() {
   }
   {
     semisort_params p;
-    p.scatter_with = semisort_params::scatter_strategy::buffered;
-    cases.push_back({p, "scatter_buffered"});
-  }
-  {
-    semisort_params p;
     p.scatter_with = semisort_params::scatter_strategy::blocked;
     cases.push_back({p, "scatter_blocked"});
   }
@@ -153,11 +148,6 @@ std::vector<ParamCase> param_cases() {
     semisort_params p;
     p.sample_sort_with = semisort_params::sample_sorter::merge_sort;
     cases.push_back({p, "sample_merge_sort"});
-  }
-  {
-    semisort_params p;
-    p.sample_sort_with = semisort_params::sample_sorter::std_sort;
-    cases.push_back({p, "sample_std_sort"});
   }
   {
     semisort_params p;

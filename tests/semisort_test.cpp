@@ -180,6 +180,24 @@ TEST(Semisort, TimingsCoverFivePhases) {
   EXPECT_GT(timings.total(), 0.0);
 }
 
+TEST(Semisort, StatsPassGetsItsOwnLap) {
+  // The stats pass runs between local sort and pack; its own lap keeps it
+  // out of the pack phase.
+  phase_timer timings;
+  semisort_stats stats;
+  semisort_params params;
+  params.timings = &timings;
+  params.stats = &stats;
+  auto in = generate_records(200000, {distribution_kind::uniform, 200000}, 13);
+  std::vector<record> out(in.size());
+  semisort_hashed(std::span<const record>(in), std::span<record>(out),
+                  record_key{}, params);
+  ASSERT_EQ(timings.phases().size(), 6u);
+  EXPECT_EQ(timings.phases()[3].first, "local sort");
+  EXPECT_EQ(timings.phases()[4].first, "stats");
+  EXPECT_EQ(timings.phases()[5].first, "pack");
+}
+
 TEST(Semisort, GeneralApiGroupsStringKeys) {
   std::vector<std::string> words;
   const char* base[] = {"apple", "pear", "plum", "fig", "apple", "fig"};

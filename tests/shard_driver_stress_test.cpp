@@ -174,14 +174,11 @@ TEST(ShardDriverStress, EveryTable1DistributionUnderTinyBudget) {
   }
 }
 
-// Overlapped spill I/O under perturbed schedules: with the overlap strategy
-// forced on, the in-place entry (every shard round-trips through the spill
-// files) must stay equivalent to the unsharded run while the driver
-// prefetches shard k+1 on the I/O pool during shard k's compute. The
-// telemetry pins the overlap down: the plan records the decision and at
-// least one prefetch actually ran (bounded by shards − 1 — the first
-// shard's read is always synchronous).
-TEST(ShardDriverStress, OverlappedSpillUnderSchedFuzz) {
+// Spill I/O under perturbed schedules: the in-place entry (every shard
+// round-trips through the spill file, read back serially behind a
+// readahead hint) must still produce a valid grouping, and no prefetch is
+// ever overlapped with compute.
+TEST(ShardDriverStress, SpillUnderSchedFuzz) {
   const uint64_t kFuzzSeeds[] = {0, 0xF00D1ULL, 0xBEEF3ULL, 0x97531ULL};
   for (uint64_t fs : kFuzzSeeds) {
     if (fs != 0 && !sched_fuzz::kCompiledIn) continue;
@@ -194,7 +191,6 @@ TEST(ShardDriverStress, OverlappedSpillUnderSchedFuzz) {
     semisort_params params;
     semisort_stats stats;
     params.stats = &stats;
-    params.shard_overlap = semisort_params::overlap_strategy::on;
     params.memory_budget_bytes =
         scratch_model{}.footprint_bytes(n, sizeof(record)) / 32;
 
@@ -202,9 +198,7 @@ TEST(ShardDriverStress, OverlappedSpillUnderSchedFuzz) {
     semisort_hashed_inplace(std::span<record>(got), record_key{}, params);
 
     ASSERT_GE(stats.shards, 2u) << "fuzz=" << fs << ": tiny budget must shard";
-    EXPECT_TRUE(stats.plan.overlap_io) << "fuzz=" << fs;
-    EXPECT_GE(stats.overlapped_prefetches, 1u) << "fuzz=" << fs;
-    EXPECT_LE(stats.overlapped_prefetches, stats.shards - 1) << "fuzz=" << fs;
+    EXPECT_EQ(stats.overlapped_prefetches, 0u) << "fuzz=" << fs;
     EXPECT_EQ(stats.spilled_bytes, n * sizeof(record)) << "fuzz=" << fs;
     EXPECT_TRUE(testing::records_semisorted(got)) << "fuzz=" << fs;
     EXPECT_TRUE(testing::records_permutation(got, in)) << "fuzz=" << fs;
