@@ -1,5 +1,5 @@
 // Scatter-engine ablation: every scatter path (CAS/linear-probe, blocked
-// two-pass counting — plus the adaptive selector)
+// exact-count distribution — plus the adaptive selector)
 // on the paper's Table 1 distributions, with an order-insensitive output
 // checksum per run so scripts/bench_compare.py can prove the paths are
 // interchangeable, not just fast.
@@ -124,8 +124,9 @@ int main(int argc, char** argv) {
   json.write();
   std::printf(
       "expected shape: checksum and key_runs identical down each\n"
-      "distribution's column (the paths are interchangeable); blocked wins\n"
-      "wherever its count matrix fits (contention-free, sequential writes),\n"
-      "CAS is the fallback for huge bucket counts.\n");
+      "distribution's column (the paths are interchangeable); blocked\n"
+      "(exact-count: contention-free, one slot per record, no pack) wins\n"
+      "at every n and bucket count, and adaptive picks it; CAS is the\n"
+      "paper's reference scatter.\n");
   return 0;
 }

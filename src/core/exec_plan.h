@@ -61,10 +61,11 @@ struct semisort_plan {
   size_t counting_passes = 0; // 1 = one-pass counting, 2 = two radix passes
 
   // --- scatter decision (general pipeline only) ---
-  // Decided from the *predicted* bucket count — n·p / light_bucket_samples
-  // merged light buckets, capped at num_hash_ranges — so the plan needs no
-  // extra scan. Forced strategies (params / PARSEMI_SCATTER_PATH / random
-  // probing) land here verbatim.
+  // Decided from params alone (core/scatter.h's choose_scatter_path),
+  // so the plan needs no extra scan. Forced strategies (params /
+  // PARSEMI_SCATTER_PATH / random probing) land here verbatim.
+  // predicted_buckets — n·p / light_bucket_samples merged light buckets,
+  // capped at num_hash_ranges — is reported, not routed on.
   scatter_path scatter = scatter_path::cas;
   size_t predicted_buckets = 0;
 

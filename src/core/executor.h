@@ -202,23 +202,23 @@ inline void publish_plan(semisort_stats* stats, const semisort_plan& plan,
   stats->key_domain_width = ps.key_domain_width;
 }
 
-// One Las-Vegas attempt of the paper's five-phase pipeline. The scatter
-// path comes pinned from the plan — the attempt decides nothing.
+// Phases 1 and 2, shared by both scatter paths: seeds the attempt's rng
+// from (seed, salt), samples and sorts the keys, and builds the bucket
+// plan. The plan lives in the caller's arena frame.
 template <typename Record, typename GetKey>
-bool semisort_attempt(std::span<const Record> in, std::span<Record> out,
-                      GetKey get_key, const semisort_params& params,
-                      scatter_path path, double alpha, uint64_t attempt_salt,
-                      pipeline_context& ctx) {
-  size_t n = in.size();
-  arena_scope attempt_frame(ctx.scratch);
-  ctx.base = rng(splitmix64(params.seed + 0x9e3779b9ULL * attempt_salt));
-  rng& base = ctx.base;
+bucket_plan sample_and_build_buckets(std::span<const Record> in,
+                                     GetKey get_key,
+                                     const semisort_params& params,
+                                     double alpha, uint64_t attempt_salt,
+                                     size_t& sample_size,
+                                     pipeline_context& ctx) {
   phase_timer* pt = params.timings;
   if (pt != nullptr) pt->start();
+  ctx.base = rng(splitmix64(params.seed + 0x9e3779b9ULL * attempt_salt));
 
   // Phase 1 — sample and sort.
   std::span<uint64_t> sample =
-      sample_keys(in, get_key, params.sampling_p, base.split(1), ctx);
+      sample_keys(in, get_key, params.sampling_p, ctx.base.split(1), ctx);
   switch (params.sample_sort_with) {
     case semisort_params::sample_sorter::radix:
       internal::radix_sort_sample(sample, ctx.scratch);
@@ -227,33 +227,128 @@ bool semisort_attempt(std::span<const Record> in, std::span<Record> out,
       parallel_merge_sort(sample);
       break;
   }
+  sample_size = sample.size();
   if (pt != nullptr) pt->record("sample and sort");
 
   // Phase 2 — construct buckets.
-  bucket_plan plan = build_bucket_plan(std::span<const uint64_t>(sample), n,
-                                       params, alpha, ctx);
+  bucket_plan plan = build_bucket_plan(std::span<const uint64_t>(sample),
+                                       in.size(), params, alpha, ctx);
   if (pt != nullptr) pt->record("construct buckets");
+  return plan;
+}
 
-  // Phase 3 — scatter (path pinned by the plan; see core/planner.h).
+// The stats both paths fill the same way. `total_slots` / `heavy_slots`
+// describe the layout the scatter wrote into; `kernel_used` is the local
+// sort's accelerated-kernel flag.
+inline void publish_run_stats(semisort_stats& st, size_t n, size_t sample_size,
+                              const bucket_plan& plan, size_t total_slots,
+                              size_t heavy_slots, scatter_path path,
+                              const std::atomic<bool>& kernel_used) {
+  st.n = n;
+  st.sample_size = sample_size;
+  st.num_heavy_keys = plan.num_heavy;
+  st.num_light_buckets = plan.num_light;
+  st.total_slots = total_slots;
+  st.heavy_slots = heavy_slots;
+  st.scatter_path_used = path;
+  // Per-phase SIMD engagement (width contract documented in params.h:
+  // 256/128 vector tier, 64 scalar tier, 0 no accelerated kernel on the
+  // path this run took).
+  st.simd_hash_width = sample_size > 0 ? simd::kWidthBits : 0;
+  st.simd_local_sort_width =
+      kernel_used.load(std::memory_order_relaxed) ? simd::kWidthBits : 0;
+}
+
+// The general path: exact-count distribution (core/scatter.h). One pass,
+// no retry — the layout comes from exact bucket totals, so nothing can
+// overflow. Records go straight into `out`; when `out` aliases `in` they
+// go into one n-record arena buffer instead, which a parallel copy moves
+// back to `out` at the end (lap "pack").
+template <typename Record, typename GetKey>
+void semisort_exact(std::span<const Record> in, std::span<Record> out,
+                    GetKey get_key, const semisort_params& params,
+                    bool aliased, uint64_t attempt_salt,
+                    pipeline_context& ctx) {
+  size_t n = in.size();
+  arena_scope frame(ctx.scratch);
+  phase_timer* pt = params.timings;
+  size_t sample_size = 0;
+  bucket_plan plan = sample_and_build_buckets(in, get_key, params,
+                                              params.alpha, attempt_salt,
+                                              sample_size, ctx);
+
+  // Phase 3 — scatter. `start` is the exact layout: bucket b is
+  // dest[start[b], start[b+1]), heavy buckets first.
+  std::span<Record> dest =
+      aliased ? std::span<Record>(ctx.scratch.alloc<Record>(n), n) : out;
+  std::span<const size_t> start = scatter_exact(in, dest, plan, get_key, ctx);
+  if (pt != nullptr) pt->record("scatter");
+
+  // Phase 4 — local sort, in place on each light bucket's range.
+  std::atomic<bool> kernel_used{false};
+  local_sort_exact_buckets(dest, start.subspan(plan.num_heavy), get_key,
+                           params,
+                           params.stats != nullptr ? &kernel_used : nullptr);
+  if (pt != nullptr) pt->record("local sort");
+
+  if (params.stats != nullptr) {
+    semisort_stats& st = *params.stats;
+    // The heavy buckets come first in the layout, so the heavy-record
+    // count is where the light buckets start.
+    size_t heavy = start[plan.num_heavy];
+    publish_run_stats(st, n, sample_size, plan, n, heavy,
+                      scatter_path::blocked, kernel_used);
+    st.heavy_records = heavy;
+    st.probe_hist = {};
+    st.max_probe = 0;
+    st.simd_scatter_width = 0;
+    st.simd_pack_width =
+        aliased && std::is_trivially_copyable_v<Record> ? simd::kWidthBits : 0;
+  }
+
+  if (aliased) {
+    parallel_for_blocks(n, internal::scan_block_size(n),
+                        [&](size_t, size_t lo, size_t hi) {
+                          simd::copy_records(out.data() + lo, dest.data() + lo,
+                                             hi - lo);
+                        });
+    if (pt != nullptr) pt->record("pack");
+  }
+}
+
+// One Las-Vegas attempt of the paper's five-phase pipeline on the CAS
+// scatter (the reference ablation). Returns false on bucket overflow or a
+// sentinel clash — before anything is written to `out`, so `in` is still
+// intact when it aliases `out`.
+template <typename Record, typename GetKey>
+bool semisort_attempt(std::span<const Record> in, std::span<Record> out,
+                      GetKey get_key, const semisort_params& params,
+                      double alpha, uint64_t attempt_salt,
+                      pipeline_context& ctx) {
+  size_t n = in.size();
+  arena_scope attempt_frame(ctx.scratch);
+  phase_timer* pt = params.timings;
+  size_t sample_size = 0;
+  bucket_plan plan = sample_and_build_buckets(in, get_key, params, alpha,
+                                              attempt_salt, sample_size, ctx);
+  rng& base = ctx.base;
+
+  // Phase 3 — scatter.
   scatter_storage<Record> storage(plan.total_slots, base.split(2).next() | 1,
                                   &ctx);
   scatter_probe_stats probe;
-  scatter_result result = scatter_dispatch(
-      path, in, storage, plan, get_key, params, base.split(3), ctx,
-      params.stats != nullptr ? &probe : nullptr);
+  scatter_result result =
+      scatter_records(in, storage, plan, get_key, params, base.split(3),
+                      params.stats != nullptr ? &probe : nullptr);
   if (pt != nullptr) pt->record("scatter");
   if (result != scatter_result::ok) return false;
 
-  // Phase 4 — local sort.
+  // Phase 4 — compact and local sort.
   std::span<size_t> light_counts(ctx.scratch.alloc<size_t>(plan.num_light),
                                  plan.num_light);
-  std::atomic<bool> local_kernel_used{false};
-  // The blocked path fills each bucket front-to-back, so the local sort can
-  // treat occupancy as a prefix and skip the hole sweep.
-  local_sort_light_buckets(
-      storage, plan, get_key, params, light_counts,
-      params.stats != nullptr ? &local_kernel_used : nullptr,
-      /*dense_storage=*/path != scatter_path::cas);
+  std::atomic<bool> kernel_used{false};
+  local_sort_light_buckets(storage, plan, get_key, params, light_counts,
+                           params.stats != nullptr ? &kernel_used : nullptr);
   if (pt != nullptr) pt->record("local sort");
 
   // Stats are gathered before the pack so that `out` may alias `in`
@@ -261,12 +356,8 @@ bool semisort_attempt(std::span<const Record> in, std::span<Record> out,
   // `storage`, and nothing below reads `in` again.
   if (params.stats != nullptr) {
     semisort_stats& st = *params.stats;
-    st.n = n;
-    st.sample_size = sample.size();
-    st.num_heavy_keys = plan.num_heavy;
-    st.num_light_buckets = plan.num_light;
-    st.total_slots = plan.total_slots;
-    st.heavy_slots = plan.heavy_slots_end;
+    publish_run_stats(st, n, sample_size, plan, plan.total_slots,
+                      plan.heavy_slots_end, scatter_path::cas, kernel_used);
     size_t blocks = internal::scan_num_blocks(n);
     std::span<size_t> sums(ctx.scratch.alloc<size_t>(blocks), blocks);
     st.heavy_records =
@@ -278,25 +369,14 @@ bool semisort_attempt(std::span<const Record> in, std::span<Record> out,
                     return plan.heavy_table->contains(get_key(in[i])) ? 1 : 0;
                   },
                   0, sums);
-    // The probe histogram only means something on the CAS path; the
-    // blocked path never probes and leaves it zero.
-    st.scatter_path_used = path;
     for (size_t b = 0; b < semisort_stats::kProbeBins; ++b)
       st.probe_hist[b] = probe.bins[b].load(std::memory_order_relaxed);
     st.max_probe = probe.max.load(std::memory_order_relaxed);
-    // Per-phase SIMD engagement (width contract documented in params.h:
-    // 256/128 vector tier, 64 scalar tier, 0 no accelerated kernel on the
-    // path this run took). The blocked path's two-pass counting has no
-    // scan kernel.
-    st.simd_hash_width = sample.size() > 0 ? simd::kWidthBits : 0;
     st.simd_scatter_width = 0;
-    if (path == scatter_path::cas && scatter_storage<Record>::kKeyCas)
+    if (scatter_storage<Record>::kKeyCas)
       st.simd_scatter_width = (simd::kEnabled && !simd::kTsan)
                                   ? simd::probe_width<sizeof(Record)>()
                                   : 64;
-    st.simd_local_sort_width =
-        local_kernel_used.load(std::memory_order_relaxed) ? simd::kWidthBits
-                                                          : 0;
     st.simd_pack_width =
         std::is_trivially_copyable_v<Record> ? simd::kWidthBits : 0;
     if (pt != nullptr) pt->record("stats");
@@ -325,15 +405,19 @@ void execute_sharded_plan(std::span<const Record> in, std::span<Record> out,
                           const char* who);
 
 // Runs an in-memory (unsharded) plan inside an already-bound frame:
-// counting kernels when the plan accepted a dense domain, the Las-Vegas
-// attempt loop with the plan's pinned scatter path otherwise. A cached
-// counting plan whose domain misses this call's keys falls back to the
-// general pipeline, with the scatter path the planner would have chosen.
+// counting kernels when the plan accepted a dense domain, otherwise the
+// plan's scatter path. The exact-count path runs once and cannot fail. The
+// CAS path is the Las-Vegas attempt loop; when its retries run out, the
+// exact-count path is the final attempt, so the call terminates with
+// certainty (stats.restarts then counts every failed CAS attempt). A
+// cached counting plan whose domain misses this call's keys falls back to
+// the general pipeline, with the scatter path the planner would have
+// chosen.
 template <typename Record, typename GetKey>
 void execute_in_memory_plan(std::span<const Record> in, std::span<Record> out,
                             GetKey get_key, const semisort_params& params,
                             const semisort_plan& plan, bool aliased,
-                            const char* who, context_binding& bind) {
+                            context_binding& bind) {
   if (params.stats != nullptr) params.stats->shards = 1;
   scatter_path path = plan.scatter;
   if (plan.dispatch == dispatch_path::counting) {
@@ -346,23 +430,28 @@ void execute_in_memory_plan(std::span<const Record> in, std::span<Record> out,
       bind.finalize(params.stats);
       return;
     }
-    size_t n = in.size();
-    path = choose_scatter_path(n, predict_bucket_count(n, params), params);
+    path = choose_scatter_path(params);
     if (params.stats != nullptr) params.stats->key_domain_width = 0;
   }
-  double alpha = params.alpha;
-  for (int attempt = 0; attempt <= params.max_retries; ++attempt) {
-    if (params.timings != nullptr && attempt > 0) params.timings->clear();
-    if (semisort_attempt(in, out, get_key, params, path, alpha,
-                         static_cast<uint64_t>(attempt), bind.ctx())) {
-      if (params.stats != nullptr) params.stats->restarts = attempt;
-      bind.finalize(params.stats);
-      return;
+  int attempt = 0;
+  if (path == scatter_path::cas) {
+    double alpha = params.alpha;
+    for (; attempt <= params.max_retries; ++attempt) {
+      if (params.timings != nullptr && attempt > 0) params.timings->clear();
+      if (semisort_attempt(in, out, get_key, params, alpha,
+                           static_cast<uint64_t>(attempt), bind.ctx())) {
+        if (params.stats != nullptr) params.stats->restarts = attempt;
+        bind.finalize(params.stats);
+        return;
+      }
+      alpha *= 2.0;  // overflow (or sentinel clash): retry with more slack
     }
-    alpha *= 2.0;  // overflow (or sentinel clash): retry with more slack
+    if (params.timings != nullptr) params.timings->clear();
   }
-  throw std::runtime_error(std::string("parsemi::") + who +
-                           ": bucket overflow persisted after retries");
+  semisort_exact(in, out, get_key, params, aliased,
+                 static_cast<uint64_t>(attempt), bind.ctx());
+  if (params.stats != nullptr) params.stats->restarts = attempt;
+  bind.finalize(params.stats);
 }
 
 }  // namespace internal

@@ -1,11 +1,15 @@
 // Phase 4 — local sort of the light buckets (§4 Phase 4; step 7c of Alg. 1).
 //
-// Each light bucket is first compacted in place (occupied slots move to the
-// bucket's start, preserving order) and then semisorted. Buckets are
-// processed in parallel but each bucket sequentially: w.h.p. a light bucket
-// holds O(log²n) records over O(log²n) distinct keys, so the per-bucket
-// work is tiny, cache-resident, and there are far more buckets than
-// workers.
+// Buckets are processed in parallel but each bucket sequentially: w.h.p. a
+// light bucket holds O(log²n) records over O(log²n) distinct keys, so the
+// per-bucket work is tiny, cache-resident, and there are far more buckets
+// than workers. Two drivers share one per-bucket kernel (sort_bucket):
+//   * local_sort_exact_buckets — the general path. The exact-count scatter
+//     laid every bucket out contiguously, so each light bucket is sorted in
+//     place on its own range of the destination.
+//   * local_sort_light_buckets — the CAS reference path. Each light bucket
+//     is first compacted in place (occupied slots move to the bucket's
+//     start, preserving order), then sorted.
 //
 // Two per-bucket algorithms:
 //   * std_sort — the paper's final choice (§4): introsort by hashed key.
@@ -21,16 +25,16 @@
 // to kMsdStackMax records take an MSD byte-pass radix over the hashed key
 // whose groups are finished by those same networks, and every other size
 // keeps introsort.
-// Compaction is accelerated too: bucket occupancy lives in the slots' key
-// words, so the leading dense run is measured 4 slots per step
-// (simd::occupied_prefix_len), which turns compaction into a no-op for the
-// front-to-back-filling scatter paths. Everything falls back to the
-// std_sort + two-pointer-sweep reference shapes for non-trivially-copyable
-// records and under PARSEMI_SIMD=OFF.
+// The CAS path's compaction is accelerated too: bucket occupancy lives in
+// the slots' key words, so the leading dense run is measured 4 slots per
+// step (simd::occupied_prefix_len) and the rest compacts branchlessly.
+// Everything falls back to the std_sort + two-pointer-sweep reference
+// shapes for non-trivially-copyable records and under PARSEMI_SIMD=OFF.
 #pragma once
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -244,24 +248,80 @@ void counting_sort_by_naming(std::span<Record> bucket, GetKey& get_key) {
   std::copy(tmp, tmp + n, bucket.begin());
 }
 
+// Semisorts one light bucket in place with the configured kernel. Returns
+// true when an accelerated kernel (sorting network or MSD byte sort) ran.
+template <typename Record, typename GetKey>
+bool sort_bucket(std::span<Record> bucket, GetKey& get_key,
+                 const semisort_params& params) {
+  size_t count = bucket.size();
+  auto by_key = [&](const Record& a, const Record& b) {
+    return get_key(a) < get_key(b);
+  };
+  if (params.local_sort ==
+      semisort_params::local_sort_algo::counting_by_naming) {
+    counting_sort_by_naming(bucket, get_key);
+    return false;
+  }
+  if constexpr (network_sortable<Record> && simd::kEnabled) {
+    if (count > 1 && count <= kNetworkMax) {
+      network_sort(bucket.data(), count, get_key);
+      return true;
+    }
+    if (count >= kMsdMinBucket && count <= kMsdStackMax) {
+      msd_bucket_sort(bucket, get_key);
+      return true;
+    }
+  }
+  if (count > 1) std::sort(bucket.begin(), bucket.end(), by_key);
+  return false;
+}
+
+// Relaxed flag, set at most a handful of times: it only answers "did any
+// bucket engage an accelerated kernel", read after the join.
+inline void note_kernel(std::atomic<bool>* kernel_used, bool engaged) {
+  if (engaged && kernel_used != nullptr &&
+      !kernel_used->load(std::memory_order_relaxed)) {
+    kernel_used->store(true, std::memory_order_relaxed);
+  }
+}
+
 }  // namespace internal
 
-// Compacts and semisorts every light bucket; light_counts[j] (a span of
-// plan.num_light elements, typically arena-allocated by the attempt loop)
-// receives the number of records in light bucket j after compaction.
-// `kernel_used` (optional) is set when at least one bucket engaged an
-// accelerated kernel (prefix-scan compaction, sorting network, or the MSD
-// byte sort) — it feeds semisort_stats::simd_local_sort_width.
-// `dense_storage` promises that every bucket's occupied slots form a
-// prefix (the blocked scatter path fills buckets front-to-back);
-// compaction then reduces to measuring that prefix.
+// Semisorts every light bucket of an exact layout in place: light bucket j
+// is dest[light_start[j], light_start[j + 1]) (the tail of the layout
+// core/scatter.h's scatter_exact returns, from the first light bucket on).
+// Heavy buckets hold one key each and are already grouped. `kernel_used`
+// (optional) is set when at least one bucket engaged an accelerated kernel
+// — it feeds semisort_stats::simd_local_sort_width.
+template <typename Record, typename GetKey>
+void local_sort_exact_buckets(std::span<Record> dest,
+                              std::span<const size_t> light_start,
+                              GetKey get_key, const semisort_params& params,
+                              std::atomic<bool>* kernel_used = nullptr) {
+  parallel_for(
+      0, light_start.size() - 1,
+      [&](size_t j) {
+        size_t lo = light_start[j];
+        internal::note_kernel(
+            kernel_used,
+            internal::sort_bucket(dest.subspan(lo, light_start[j + 1] - lo),
+                                  get_key, params));
+      },
+      1);
+}
+
+// CAS path: compacts and semisorts every light bucket; light_counts[j] (a
+// span of plan.num_light elements, typically arena-allocated by the
+// attempt loop) receives the number of records in light bucket j after
+// compaction. `kernel_used` (optional) is set when at least one bucket
+// engaged an accelerated kernel (prefix-scan compaction, sorting network,
+// or the MSD byte sort).
 template <typename Record, typename GetKey>
 void local_sort_light_buckets(scatter_storage<Record>& storage,
                               const bucket_plan& plan, GetKey get_key,
                               const semisort_params& params,
                               std::span<size_t> light_counts,
-                              std::atomic<bool>* kernel_used = nullptr,
-                              bool dense_storage = false) {
+                              std::atomic<bool>* kernel_used = nullptr) {
   parallel_for(
       0, plan.num_light,
       [&](size_t j) {
@@ -274,70 +334,34 @@ void local_sort_light_buckets(scatter_storage<Record>& storage,
           // Occupancy lives in the slots' key words (sentinel = hole), so
           // the leading dense run is measured by the match_key4 lane
           // extraction — 4 slots per step instead of a per-slot branch.
-          size_t d = simd::occupied_prefix_len<sizeof(Record)>(
-              storage.slots.data() + lo, hi - lo, storage.sentinel);
-          w = lo + d;
+          w = lo + simd::occupied_prefix_len<sizeof(Record)>(
+                       storage.slots.data() + lo, hi - lo, storage.sentinel);
           engaged = true;
-          if (!dense_storage) {
-            // CAS path: holes interleave. From the first hole on, compact
-            // branchlessly — copy unconditionally, advance the write index
-            // by the occupancy bit, so the scan never mispredicts. Safe:
-            // w ≤ r throughout, and slots between the compacted prefix and
-            // `hi` are never read again (pack copies only the prefix).
-            // Trivially-copyable only: unoccupied slots hold uninitialized
-            // payload bytes, which a raw copy may move but a user-defined
-            // assignment must not see.
-            for (size_t r = w; r < hi; ++r) {
-              storage.slots[w] = storage.slots[r];
-              w += storage.occupied(r) ? 1 : 0;
-            }
+          // From the first hole on, compact branchlessly — copy
+          // unconditionally, advance the write index by the occupancy bit,
+          // so the scan never mispredicts. Safe: w ≤ r throughout, and
+          // slots between the compacted prefix and `hi` are never read
+          // again (pack copies only the prefix). Trivially-copyable only:
+          // unoccupied slots hold uninitialized payload bytes, which a raw
+          // copy may move but a user-defined assignment must not see.
+          for (size_t r = w; r < hi; ++r) {
+            storage.slots[w] = storage.slots[r];
+            w += storage.occupied(r) ? 1 : 0;
           }
         } else {
-          if (dense_storage) {
-            while (w < hi && storage.occupied(w)) ++w;
-          } else {
-            // Order-preserving two-pointer sweep.
-            for (size_t r = lo; r < hi; ++r) {
-              if (storage.occupied(r)) {
-                if (w != r) storage.slots[w] = storage.slots[r];
-                ++w;
-              }
+          // Order-preserving two-pointer sweep.
+          for (size_t r = lo; r < hi; ++r) {
+            if (storage.occupied(r)) {
+              if (w != r) storage.slots[w] = storage.slots[r];
+              ++w;
             }
           }
         }
         light_counts[j] = w - lo;
-        size_t count = w - lo;
-        std::span<Record> bucket(storage.slots.data() + lo, count);
-        if (params.local_sort ==
-            semisort_params::local_sort_algo::counting_by_naming) {
-          internal::counting_sort_by_naming(bucket, get_key);
-        } else if constexpr (internal::network_sortable<Record> &&
-                             simd::kEnabled) {
-          if (count > 1 && count <= internal::kNetworkMax) {
-            internal::network_sort(bucket.data(), count, get_key);
-            engaged = true;
-          } else if (count >= internal::kMsdMinBucket &&
-                     count <= internal::kMsdStackMax) {
-            internal::msd_bucket_sort(bucket, get_key);
-            engaged = true;
-          } else if (count > 1) {
-            std::sort(bucket.begin(), bucket.end(),
-                      [&](const Record& a, const Record& b) {
-                        return get_key(a) < get_key(b);
-                      });
-          }
-        } else {
-          std::sort(bucket.begin(), bucket.end(),
-                    [&](const Record& a, const Record& b) {
-                      return get_key(a) < get_key(b);
-                    });
-        }
-        if (engaged && kernel_used != nullptr &&
-            !kernel_used->load(std::memory_order_relaxed)) {
-          // Relaxed flag, set at most a handful of times: it only answers
-          // "did any bucket engage", read after the join.
-          kernel_used->store(true, std::memory_order_relaxed);
-        }
+        engaged |= internal::sort_bucket(
+            std::span<Record>(storage.slots.data() + lo, w - lo), get_key,
+            params);
+        internal::note_kernel(kernel_used, engaged);
       },
       1);
 }

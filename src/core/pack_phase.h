@@ -59,11 +59,9 @@ size_t pack_output(scatter_storage<Record>& storage, const bucket_plan& plan,
             // Run-based compaction: run boundaries are found 4 slots per
             // step by the sentinel-scan kernels and each occupied run
             // moves with one memmove — the leading dense prefix (w == r)
-            // moves nothing at all. The blocked path fills each
-            // bucket front-to-back, so a bucket contributes one occupied
-            // and one hole run and the sweep is a handful of bulk moves;
-            // the CAS path's random holes just make the runs short (still
-            // correct, the scans simply alternate faster). w ≤ r
+            // moves nothing at all. The CAS path's random holes make
+            // the runs short (still correct, the scans simply alternate
+            // faster). w ≤ r
             // throughout; only the compacted prefix is copied out below,
             // so the stale tail is never read.
             size_t r = lo;

@@ -24,8 +24,9 @@ struct semisort_plan;  // core/exec_plan.h
 
 // The Phase 3 placement strategy a run actually executed (core/scatter.h):
 //   cas      — one CAS + probe per record (the paper's §4 scatter)
-//   blocked  — two-pass per-block counting with contention-free placement
-//              (zero atomics; Wu et al. 2023 style)
+//   blocked  — exact-count distribution: per-block counting lays buckets
+//              out from exact totals, contention-free placement (zero
+//              atomics, no pack; Dong/Wu et al. 2023 style)
 enum class scatter_path : uint8_t { cas, blocked };
 
 inline const char* to_string(scatter_path p) {
@@ -228,11 +229,11 @@ struct semisort_params {
   };
   probe_strategy probing = probe_strategy::linear;
 
-  // Phase 3 placement engine. `adaptive` picks a scatter_path per run from
-  // n and the bucket count (core/scatter.h's choose_scatter_path); the
-  // other values pin one path for ablation. The PARSEMI_SCATTER_PATH
-  // environment variable (cas / blocked / adaptive) overrides this knob
-  // without recompiling. `probing` applies to the CAS path only;
+  // Phase 3 placement engine. `adaptive` takes the exact-count `blocked`
+  // path (core/scatter.h's choose_scatter_path); `cas` pins the paper's
+  // CAS scatter as the reference ablation, `blocked` pins exact-count.
+  // The PARSEMI_SCATTER_PATH environment variable (cas / blocked /
+  // adaptive) overrides this knob without recompiling. `probing` applies to the CAS path only;
   // requesting random probing pins the adaptive choice to CAS so the
   // ablation measures what it names.
   enum class scatter_strategy : uint8_t { adaptive, cas, blocked };

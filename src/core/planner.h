@@ -4,8 +4,7 @@
 //
 //   * unsharded route — the only scan is the key-domain probe
 //     (core/key_domain.h), and it runs only when the dispatch strategy
-//     wants it; the scatter path is then chosen from a *predicted* bucket
-//     count (n, sampling_p, light_bucket_samples are all known a priori),
+//     wants it; the scatter path is then chosen from params alone,
 //     not from a second scan.
 //   * sharded route — the only scan is plan_shards' strided histogram
 //     sample (shard/shard_plan.h). The key-domain probe is skipped
@@ -96,11 +95,9 @@ inline uint64_t fingerprint_params(const semisort_params& p) {
 
 // Expected merged-light-bucket count of a run, from knowns only: the
 // sample has ~n·p keys, merging targets light_bucket_samples of them per
-// bucket, and the range partition caps the total. Feeding this prediction
-// to choose_scatter_path is what lets the plan fix the scatter path
-// without a probe — the prediction tracks the real count within the
-// heavy-key correction, and the heuristic's thresholds are coarse
-// (powers of two) relative to that error.
+// bucket, and the range partition caps the total. A reported prediction
+// (plan.predicted_buckets, compared against the real count by the
+// benchmark); it routes nothing.
 inline size_t predict_bucket_count(size_t n, const semisort_params& params) {
   if (!params.merge_light_buckets) return params.num_hash_ranges;
   double sample = static_cast<double>(n) * params.sampling_p;
@@ -152,7 +149,7 @@ bool plan_sharded_route(std::span<const Record> in, GetKey&& get_key,
 
 // In-memory planning: resolve the front-end dispatch (running the
 // key-domain probe only when the strategy asks for it — this route's one
-// probe), then fix the scatter path from the predicted bucket count.
+// probe), then fix the scatter path and record the predicted bucket count.
 template <typename Record, typename GetKey>
 void plan_in_memory(std::span<const Record> in, GetKey&& get_key,
                     const semisort_params& params, semisort_plan& plan,
@@ -176,7 +173,7 @@ void plan_in_memory(std::span<const Record> in, GetKey&& get_key,
   }
   if (plan.dispatch == dispatch_path::general) {
     plan.predicted_buckets = predict_bucket_count(n, params);
-    plan.scatter = choose_scatter_path(n, plan.predicted_buckets, params);
+    plan.scatter = choose_scatter_path(params);
   }
 }
 

@@ -1,34 +1,34 @@
 // Phase 3 — the scatter engine (§4 Phase 3; steps 6b and 7b of Alg. 1).
 //
-// Two placement strategies behind one dispatch:
+// Two placement strategies:
 //
-//   * CAS (the paper's §4 scatter, kept as baseline and ablation): every
-//     record claims a random slot of its bucket with a compare-and-swap,
-//     linear-probing on collision — one atomic and one random cache-line
-//     miss per record.
-//   * blocked: two-pass exact counting for runs whose bucket count keeps
-//     the count matrix cache-friendly (Wu et al. 2023 style). Pass 1 builds
-//     per-block bucket histograms (primitives/histogram.h); a strided
-//     column scan over the (block × bucket) matrix (primitives/scan.h)
-//     turns them into exact placement offsets — overflow is detected here,
-//     before any slot is written; pass 2 places contention-free with zero
-//     atomics. Placement is deterministic and stable at every worker count.
+//   * blocked — exact-count distribution, the general path (Dong/Wu et
+//     al. 2023 style). Pass 1 builds per-block bucket histograms
+//     (primitives/histogram.h); the bucket totals and their prefix sum lay
+//     the buckets out back to back with no holes, and a strided column
+//     scan over the (block × bucket) matrix (primitives/scan.h) turns the
+//     histograms into absolute destinations. Pass 2 places every record
+//     straight into the destination with zero atomics. One slot per
+//     record, no sentinel, no capacity, so no overflow and no retry; the
+//     layout is deterministic and stable at every worker count.
+//   * CAS — the paper's §4 scatter, kept as the reference ablation: every
+//     record claims a random slot of its α·f(s)-sized bucket with a
+//     compare-and-swap, linear-probing on collision — one atomic and one
+//     random cache-line miss per record. Buckets keep holes, so this path
+//     needs the Phase 5 pack, and an overflow restarts the attempt.
 //
-// choose_scatter_path picks a strategy per run from n and the bucket
-// count; semisort_params::scatter_with pins one, and the
-// PARSEMI_SCATTER_PATH environment variable overrides both (ablation
-// without recompiling).
+// choose_scatter_path picks blocked for every input (CAS only when pinned
+// or under random probing); semisort_params::scatter_with pins one, and the PARSEMI_SCATTER_PATH
+// environment variable overrides both (ablation without recompiling).
 //
-// Slot claiming on the CAS path has two modes (the occupancy metadata they
-// maintain — key word vs flag byte — is shared by both paths):
+// Slot claiming on the CAS path has two modes:
 //   * key-CAS (the paper's): for standard-layout records whose first 8
 //     bytes are the `key` word, the slot's key word doubles as the occupancy
 //     flag — empty slots hold a per-run random sentinel, and the CAS that
 //     claims a slot simultaneously writes the key. One atomic op and one
 //     cache line per record. A record whose key happens to equal the
 //     sentinel (probability n·2⁻⁶⁴) is detected and triggers a restart with
-//     a fresh sentinel, so correctness never depends on luck — the blocked
-//     path performs the same check while counting.
+//     a fresh sentinel, so correctness never depends on luck.
 //   * flag-array: for arbitrary record types, a byte per slot is CAS'd from
 //     0→1 and the record is then stored plainly (the parallel_for join that
 //     ends the phase publishes the stores).
@@ -73,7 +73,7 @@ constexpr bool key_cas_eligible() {
 
 }  // namespace internal
 
-// The bucket backing array plus occupancy metadata for one semisort run.
+// The CAS path's bucket backing array plus occupancy metadata for one run.
 // With a pipeline_context the (large) slot array and flag bytes are served
 // from its arena — repeated semisorts then skip both the allocation and its
 // first-touch page faults; without one the storage is owned (one fresh
@@ -167,16 +167,6 @@ struct scatter_storage {
       slots[i] = rec;
       return true;
     }
-  }
-
-  // Exclusive-ownership store for the blocked path: the counting pass
-  // gave the caller slot `i`, so a plain write suffices — the parallel_for
-  // join that ends the scatter publishes it. Marks the slot occupied (flag
-  // byte in flag mode; in key-CAS mode the copied key word does it, the
-  // sentinel clash having been ruled out upstream).
-  void place(size_t i, const Record& rec) {
-    slots[i] = rec;
-    if constexpr (!kKeyCas) flags[i] = 1;
   }
 };
 
@@ -313,74 +303,67 @@ scatter_result scatter_records(std::span<const Record> in,
   return scatter_result::ok;
 }
 
-// Blocked two-pass counting scatter: per-block bucket histograms, a strided
-// column scan converting them to absolute destinations (with the overflow
-// check folded in, before any slot is touched), then contention-free
-// placement — zero atomics on the placement pass, and a deterministic,
-// stable layout (input order preserved within each bucket) at every worker
-// count. All scratch comes from ctx's arena.
+// Exact-count distribution into `dest` (n records, never aliasing `in`):
+// per-block bucket histograms, the bucket totals' exclusive scan as the
+// layout, a strided column scan converting the histograms to absolute
+// destinations, then contention-free placement — zero atomics, and a
+// deterministic, stable layout (input order preserved within each bucket)
+// at every worker count. `plan` supplies the routing only; its α·f(s)
+// capacities belong to the CAS path. Returns the layout (num_buckets() + 1
+// entries from ctx's arena): bucket b is dest[start[b], start[b+1]), so
+// start[plan.num_heavy] is the heavy-record count and start.back() is n.
 template <typename Record, typename GetKey>
-scatter_result scatter_blocked(std::span<const Record> in,
-                               scatter_storage<Record>& storage,
-                               const bucket_plan& plan, GetKey get_key,
-                               pipeline_context& ctx) {
+std::span<size_t> scatter_exact(std::span<const Record> in,
+                                std::span<Record> dest, const bucket_plan& plan,
+                                GetKey get_key, pipeline_context& ctx) {
   size_t n = in.size();
   size_t num_buckets = plan.num_buckets();
   size_t block = histogram_block_size(n, num_buckets);
   size_t num_blocks = histogram_num_blocks(n, block);
   size_t* counts = ctx.scratch.alloc<size_t>(num_blocks * num_buckets);
 
-  // Pass 1 — count, folding in the sentinel-clash scan (the CAS path pays
-  // the same check per record).
-  std::atomic<bool> clash{false};
+  // Pass 1 — count.
   histogram_blocks(n, block, num_buckets, counts, [&](size_t i) {
-    const Record& rec = in[i];
-    if constexpr (scatter_storage<Record>::kKeyCas) {
-      if (rec.key == storage.sentinel)
-        clash.store(true, std::memory_order_relaxed);
-    }
-    return plan.bucket_of(get_key(rec));
+    return plan.bucket_of(get_key(in[i]));
   });
-  if (clash.load(std::memory_order_relaxed))
-    return scatter_result::sentinel_clash;
 
-  // Column scan: counts[blk][b] becomes the absolute slot where block blk
-  // starts writing bucket b. Exact totals are known here, so overflow is
-  // detected before a single record moves.
-  std::atomic<bool> overflow{false};
+  // Layout: bucket totals (column sums), then their exclusive scan. The
+  // closing boundary starts at 0 so the scan leaves n there.
+  std::span<size_t> start(ctx.scratch.alloc<size_t>(num_buckets + 1),
+                          num_buckets + 1);
   parallel_for(0, num_buckets, [&](size_t b) {
-    size_t end = scan_exclusive_strided(counts + b, num_blocks, num_buckets,
-                                        plan.bucket_offset[b]);
-    if (end - plan.bucket_offset[b] > plan.capacity_of(b))
-      overflow.store(true, std::memory_order_relaxed);
+    size_t sum = 0;
+    for (size_t k = 0; k < num_blocks; ++k) sum += counts[k * num_buckets + b];
+    start[b] = sum;
   });
-  if (overflow.load(std::memory_order_relaxed))
-    return scatter_result::overflow;
+  start[num_buckets] = 0;
+  size_t scan_blocks = internal::scan_num_blocks(start.size());
+  scan_exclusive_inplace(
+      start, size_t{0},
+      std::span<size_t>(ctx.scratch.alloc<size_t>(scan_blocks), scan_blocks));
+
+  // Column scan: counts[blk][b] becomes the slot where block blk starts
+  // writing bucket b.
+  parallel_for(0, num_buckets, [&](size_t b) {
+    scan_exclusive_strided(counts + b, num_blocks, num_buckets, start[b]);
+  });
 
   // Pass 2 — place. Each block owns disjoint destination ranges per bucket.
   parallel_for_blocks(n, block, [&](size_t blk, size_t lo, size_t hi) {
-    size_t* local = counts + blk * num_buckets;
-    for (size_t i = lo; i < hi; ++i) {
-      storage.place(local[plan.bucket_of(get_key(in[i]))]++, in[i]);
-    }
+    size_t* cursor = counts + blk * num_buckets;
+    for (size_t i = lo; i < hi; ++i)
+      dest[cursor[plan.bucket_of(get_key(in[i]))]++] = in[i];
   });
-  return scatter_result::ok;
+  return start;
 }
 
-// --- adaptive path selection ----------------------------------------------
+// --- path selection --------------------------------------------------------
 
 namespace internal {
 
-// Selection thresholds (rationale in DESIGN.md "Phase 3 — scattering"):
-// below kScatterSmallN the CAS path's constant factor wins and the count
-// matrix's setup dominates; above kBlockedMaxBuckets the (block × bucket)
-// count matrix stops being cache-friendly.
-inline constexpr size_t kScatterSmallN = size_t{1} << 15;
-inline constexpr size_t kBlockedMaxBuckets = size_t{1} << 15;
-
 // PARSEMI_SCATTER_PATH=cas|blocked forces a path; "adaptive" or anything
-// unrecognized falls through to params + heuristic. getenv only — no
-// allocation (the zero-heap steady state covers this check).
+// unrecognized falls through to params. getenv only — no allocation (the
+// zero-heap steady state covers this check).
 inline bool scatter_path_from_env(scatter_path& out) {
   const char* v = env_cstr("PARSEMI_SCATTER_PATH");
   if (v == nullptr) return false;
@@ -393,12 +376,11 @@ inline bool scatter_path_from_env(scatter_path& out) {
 }  // namespace internal
 
 // Picks the Phase 3 path for one run. Precedence: PARSEMI_SCATTER_PATH env
-// override, then params.scatter_with, then the (n, bucket count)
-// heuristic: blocked when n ≥ 2^15 and there are ≤ 2^15 buckets, else the
-// paper's CAS. Random probing pins CAS — the probing ablation only exists
-// there.
-inline scatter_path choose_scatter_path(size_t n, size_t num_buckets,
-                                        const semisort_params& params) {
+// override, then params.scatter_with; `adaptive` takes the exact-count
+// path at every n and bucket count (it measured faster than CAS from
+// n = 2^10 up — EXPERIMENTS.md, "Exact-count distribution"). Random probing
+// pins CAS — the probing ablation only exists there.
+inline scatter_path choose_scatter_path(const semisort_params& params) {
   scatter_path forced;
   if (internal::scatter_path_from_env(forced)) return forced;
   switch (params.scatter_with) {
@@ -409,24 +391,7 @@ inline scatter_path choose_scatter_path(size_t n, size_t num_buckets,
   }
   if (params.probing == semisort_params::probe_strategy::random)
     return scatter_path::cas;
-  if (n >= internal::kScatterSmallN &&
-      num_buckets <= internal::kBlockedMaxBuckets)
-    return scatter_path::blocked;
-  return scatter_path::cas;
-}
-
-// Runs the chosen path. `probe` (optional, CAS only) receives the probe
-// histogram.
-template <typename Record, typename GetKey>
-scatter_result scatter_dispatch(scatter_path path, std::span<const Record> in,
-                                scatter_storage<Record>& storage,
-                                const bucket_plan& plan, GetKey get_key,
-                                const semisort_params& params, rng base,
-                                pipeline_context& ctx,
-                                scatter_probe_stats* probe = nullptr) {
-  if (path == scatter_path::blocked)
-    return scatter_blocked(in, storage, plan, get_key, ctx);
-  return scatter_records(in, storage, plan, get_key, params, base, probe);
+  return scatter_path::blocked;
 }
 
 }  // namespace parsemi

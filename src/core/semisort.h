@@ -21,14 +21,21 @@
 // Pipeline of the general path (all phases named as in §4, surfaced via
 // params.timings):
 //   1. "sample and sort"    — strided sample of hashed keys, radix-sorted
-//   2. "construct buckets"  — heavy/light split, f(s)-sized bucket layout
-//   3. "scatter"            — one CAS write per record into its bucket
-//   4. "local sort"         — compact + sort each light bucket
-//      "stats"              — only with params.stats: the heavy-record count
-//   5. "pack"               — compact everything into the output
-// Bucket overflow (probability ≤ n^{-c+1}/log²n, Corollary 3.4) and the
-// astronomically-unlikely sentinel clash restart the run with doubled α /
-// fresh randomness, making the whole routine Las Vegas.
+//   2. "construct buckets"  — heavy/light split and light-range merging
+//   3. "scatter"            — exact-count distribution: per-block bucket
+//                             histograms lay the buckets out back to back,
+//                             then every record moves once into its slot
+//   4. "local sort"         — sort each light bucket in place on its range
+//      "pack"               — in-place calls only: one parallel copy back
+//                             from the n-record staging buffer
+// The layout comes from exact counts, so nothing can overflow and the path
+// runs once. The paper's CAS scatter (scatter_with = cas) is kept as the
+// reference ablation: α·f(s)-sized buckets, a "stats" lap (only with
+// params.stats: the heavy-record count), and Phase 5 "pack" to squeeze
+// out the holes. Its bucket overflow (probability ≤ n^{-c+1}/log²n,
+// Corollary 3.4) and the astronomically-unlikely sentinel clash restart
+// the run with doubled α / fresh randomness; when max_retries runs out the
+// exact-count path is the final attempt, so every call terminates.
 //
 // Memory plan: every phase draws scratch from one pipeline_context arena
 // (core/pipeline_context.h); each Las-Vegas attempt is an arena checkpoint
@@ -107,8 +114,7 @@ void semisort_hashed_run(std::span<const Record> in, std::span<Record> out,
       plan = &local;
     }
     publish_plan(params.stats, *plan, /*reused=*/params.plan != nullptr);
-    execute_in_memory_plan(in, out, get_key, params, *plan, aliased, who,
-                           bind);
+    execute_in_memory_plan(in, out, get_key, params, *plan, aliased, bind);
   });
 }
 
@@ -163,13 +169,13 @@ void semisort_hashed(std::span<const Record> in, std::span<Record> out,
                                 "semisort_hashed");
 }
 
-// In-place semisort: reorders `data` directly. Works because the
-// algorithm consumes its input during the scatter phase — every record is
-// already in the bucket array before the pack writes the output — and all
-// Las-Vegas retries trigger before the pack, while the input is still
-// intact (the dispatch fast paths stage through arena scratch to keep the
-// same guarantee). Same cost as the copying version minus the output
-// allocation.
+// In-place semisort: reorders `data` directly. The scatter stages every
+// record through one n-record arena buffer, which the final copy moves
+// back into `data`; on the CAS ablation every record is in the bucket
+// array before the pack writes the output, and all Las-Vegas retries
+// trigger before the pack, while the input is still intact (the dispatch
+// fast paths stage through arena scratch the same way). Same cost as the
+// copying version plus one parallel copy, minus the output allocation.
 template <typename Record, typename GetKey = record_key>
 void semisort_hashed_inplace(std::span<Record> data, GetKey get_key = {},
                              const semisort_params& params = {}) {
@@ -190,9 +196,7 @@ void semisort_hashed_inplace(std::span<Record> data, GetKey get_key = {},
 
 // Convenience: returns the semisorted copy. Copy-constructs the output
 // (memcpy for trivial records — no zero initialization) and reorders it in
-// place: the pipeline consumes its input during the scatter before the pack
-// writes the output, so the aliasing is safe, and every Las-Vegas retry
-// triggers before the pack while the copy is still intact.
+// place through the in-place entry point above.
 template <typename Record, typename GetKey = record_key>
 std::vector<Record> semisort_hashed(std::span<const Record> in,
                                     GetKey get_key = {},

@@ -8,6 +8,10 @@
 // hygiene even on exception paths; there is nothing to clean up by name
 // (tests/spill_file_test.cpp proves both properties).
 //
+// The file's blocks are reserved with fallocate at creation, so a full disk
+// surfaces as the constructor's std::runtime_error rather than as SIGBUS
+// when a write through the mapping finds no block to land on.
+//
 // The mapping is MAP_SHARED over the file, so dirty pages are file-backed:
 // under memory pressure the kernel writes them to disk and drops them
 // instead of swapping, which is exactly what lets a memory-budgeted shard
@@ -51,11 +55,14 @@ class spill_file {
     // Unlink before anything can go wrong: from here on the file has no
     // name, and its space dies with the last descriptor/mapping.
     ::unlink(path.c_str());
-    if (::ftruncate(fd, static_cast<off_t>(bytes)) != 0) {
-      int saved = errno;
-      ::close(fd);
-      errno = saved;
-      fail("ftruncate", path);
+    // Reserve the blocks up front: a full disk (or RLIMIT_FSIZE) then fails
+    // here as an exception, not later as SIGBUS on a page of the shared
+    // mapping. Filesystems without fallocate get a sparse ftruncate —
+    // glibc's posix_fallocate emulation would write every block instead.
+    if (::fallocate(fd, 0, 0, static_cast<off_t>(bytes)) != 0) {
+      if (errno != EOPNOTSUPP) close_and_fail(fd, "fallocate", path);
+      if (::ftruncate(fd, static_cast<off_t>(bytes)) != 0)
+        close_and_fail(fd, "ftruncate", path);
     }
     void* p =
         ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
@@ -110,6 +117,14 @@ class spill_file {
   }
 
  private:
+  [[noreturn]] static void close_and_fail(int fd, const char* what,
+                                         const std::string& path) {
+    int saved = errno;
+    ::close(fd);
+    errno = saved;
+    fail(what, path);
+  }
+
   [[noreturn]] static void fail(const char* what, const std::string& path) {
     throw std::runtime_error(std::string("parsemi::spill_file: ") + what +
                              " failed for " + path + ": " +

@@ -98,6 +98,7 @@ TEST(AllocRegression, SteadyStateSemisortMakesZeroHeapAllocations) {
   ASSERT_TRUE(testing::valid_semisort(out, in));
   ASSERT_GT(stats.peak_scratch_bytes, 0u);
   ASSERT_GT(stats.arena_allocs, 0u);
+  ASSERT_EQ(stats.scatter_path_used, scatter_path::blocked);
 
   // Steady state: not one heap allocation across five full pipelines,
   // instrumentation included.
@@ -225,26 +226,40 @@ TEST(AllocRegression, EveryScatterPathZeroHeapAllocationsWhenWarm) {
 }
 
 TEST(AllocRegression, SteadyStateInplaceSemisortMakesZeroHeapAllocations) {
+  // In place, the exact path stages through an arena buffer and copies
+  // back; the pinned CAS path packs out of its slot array. Both stay
+  // zero-alloc once warm.
   size_t n = 100000;
   auto base_input =
       generate_records(n, {distribution_kind::uniform, 1u << 24}, 7);
   std::vector<record> data(n);
 
-  pipeline_context ctx;
-  semisort_params params;
-  params.context = &ctx;
+  for (auto s : {semisort_params::scatter_strategy::adaptive,
+                 semisort_params::scatter_strategy::cas}) {
+    pipeline_context ctx;
+    semisort_stats stats;
+    semisort_params params;
+    params.context = &ctx;
+    params.stats = &stats;
+    params.scatter_with = s;
 
-  for (int round = 0; round < 3; ++round) {
-    std::copy(base_input.begin(), base_input.end(), data.begin());
-    semisort_hashed_inplace(std::span<record>(data), record_key{}, params);
+    for (int round = 0; round < 3; ++round) {
+      std::copy(base_input.begin(), base_input.end(), data.begin());
+      semisort_hashed_inplace(std::span<record>(data), record_key{}, params);
+    }
+    size_t before = heap_allocs();
+    for (int round = 0; round < 5; ++round) {
+      std::copy(base_input.begin(), base_input.end(), data.begin());
+      semisort_hashed_inplace(std::span<record>(data), record_key{}, params);
+    }
+    EXPECT_EQ(heap_allocs() - before, 0u) << "scatter strategy "
+                                          << static_cast<int>(s);
+    EXPECT_TRUE(testing::valid_semisort(data, base_input));
+    EXPECT_EQ(stats.scatter_path_used,
+              s == semisort_params::scatter_strategy::cas
+                  ? scatter_path::cas
+                  : scatter_path::blocked);
   }
-  size_t before = heap_allocs();
-  for (int round = 0; round < 5; ++round) {
-    std::copy(base_input.begin(), base_input.end(), data.begin());
-    semisort_hashed_inplace(std::span<record>(data), record_key{}, params);
-  }
-  EXPECT_EQ(heap_allocs() - before, 0u);
-  EXPECT_TRUE(testing::valid_semisort(data, base_input));
 }
 
 TEST(AllocRegression, DerivedOperatorAllocatesOnlyItsResults) {

@@ -1,10 +1,11 @@
-// Failure-injection tests: force every Las-Vegas escape hatch — bucket
-// overflow (Corollary 3.4's unlikely event), sentinel clashes, hash
-// collisions in the general API — and verify the algorithm recovers with a
-// correct result rather than crashing or corrupting. The overflow-recovery
-// path is property-based (random undersized configurations, under perturbed
-// schedules, shrunk on failure); the exact-injection cases stay as
-// deterministic regressions, some looped over schedule-fuzz seeds.
+// Failure-injection tests: force every Las-Vegas escape hatch of the CAS
+// reference path — bucket overflow (Corollary 3.4's unlikely event),
+// sentinel clashes, exhausted retries — and hash collisions in the general
+// API, and verify the algorithm recovers with a correct result rather than
+// crashing or corrupting. The overflow-recovery path is property-based
+// (random undersized configurations, under perturbed schedules, shrunk on
+// failure); the exact-injection cases stay as deterministic regressions,
+// some looped over schedule-fuzz seeds.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -83,6 +84,7 @@ std::optional<std::string> overflow_recovers(const overflow_config& c) {
   // α far below 1 makes first-attempt capacities smaller than the true
   // counts, guaranteeing at least one overflow → retry with doubled α.
   semisort_params params;
+  params.scatter_with = semisort_params::scatter_strategy::cas;
   params.alpha = c.alpha;
   params.round_to_pow2 = false;
   params.max_retries = 12;
@@ -111,21 +113,39 @@ TEST(FailureInjection, UndersizedBucketsTriggerRetryAndStillSucceed) {
 
 // -------------------------------------------------- deterministic regressions
 
-TEST(FailureInjection, ZeroRetriesThrowsOnGuaranteedOverflow) {
-  semisort_params params;
-  params.alpha = 0.001;
-  params.round_to_pow2 = false;
-  params.max_retries = 0;
-  auto in = generate_records(100000, {distribution_kind::uniform, 100}, 2);
-  std::vector<record> out(in.size());
-  EXPECT_THROW(semisort_hashed(std::span<const record>(in),
-                               std::span<record>(out), record_key{}, params),
-               std::runtime_error);
-  // The throw must also be clean under a perturbed schedule.
-  sched_fuzz::scoped_enable fuzz(sched_fuzz::kCompiledIn ? 4242 : 0);
-  EXPECT_THROW(semisort_hashed(std::span<const record>(in),
-                               std::span<record>(out), record_key{}, params),
-               std::runtime_error);
+TEST(FailureInjection, ExhaustedRetriesFallBackToExactPath) {
+  // A pinned-CAS run whose every attempt overflows ends in the exact-count
+  // path, which cannot overflow: the call returns a valid semisort instead
+  // of throwing, copying and in place, with and without schedule fuzz.
+  for (uint64_t fuzz_seed : {0ull, 4242ull}) {
+    sched_fuzz::scoped_enable fuzz(sched_fuzz::kCompiledIn ? fuzz_seed : 0);
+    semisort_params params;
+    params.scatter_with = semisort_params::scatter_strategy::cas;
+    params.alpha = 0.001;
+    params.round_to_pow2 = false;
+    params.max_retries = 0;
+    semisort_stats stats;
+    params.stats = &stats;
+    phase_timer timings;
+    params.timings = &timings;
+    auto in = generate_records(100000, {distribution_kind::uniform, 100}, 2);
+    std::vector<record> out(in.size());
+    semisort_hashed(std::span<const record>(in), std::span<record>(out),
+                    record_key{}, params);
+    EXPECT_TRUE(testing::valid_semisort(out, in)) << "fuzz " << fuzz_seed;
+    EXPECT_EQ(stats.restarts, 1) << "fuzz " << fuzz_seed;
+    EXPECT_EQ(stats.scatter_path_used, scatter_path::blocked);
+    EXPECT_EQ(stats.plan.scatter, scatter_path::cas);
+    EXPECT_EQ(stats.total_slots, in.size());
+    // Only the final attempt's laps survive.
+    EXPECT_EQ(timings.phases().size(), 4u);
+
+    std::vector<record> data = in;
+    params.max_retries = 2;
+    semisort_hashed_inplace(std::span<record>(data), record_key{}, params);
+    EXPECT_TRUE(testing::valid_semisort(data, in)) << "fuzz " << fuzz_seed;
+    EXPECT_EQ(stats.restarts, 3) << "fuzz " << fuzz_seed;
+  }
 }
 
 TEST(FailureInjection, SentinelClashRetriesTransparently) {
@@ -136,6 +156,7 @@ TEST(FailureInjection, SentinelClashRetriesTransparently) {
     sched_fuzz::scoped_enable fuzz(
         sched_fuzz::kCompiledIn ? fuzz_seed : 0);
     semisort_params params;
+    params.scatter_with = semisort_params::scatter_strategy::cas;
     params.seed = 12345;
     semisort_stats stats;
     params.stats = &stats;
@@ -195,6 +216,7 @@ TEST(FailureInjection, TimingsClearedAcrossRetries) {
   // After retries the breakdown must reflect the final (successful)
   // attempt only: exactly five phases, not 5 × attempts.
   semisort_params params;
+  params.scatter_with = semisort_params::scatter_strategy::cas;
   params.alpha = 0.02;
   params.round_to_pow2 = false;
   params.max_retries = 12;
@@ -202,6 +224,13 @@ TEST(FailureInjection, TimingsClearedAcrossRetries) {
   params.timings = &timings;
   auto in = generate_records(80000, {distribution_kind::uniform, 1000}, 4);
   std::vector<record> out(in.size());
+  semisort_stats stats;
+  params.stats = &stats;
+  semisort_hashed(std::span<const record>(in), std::span<record>(out),
+                  record_key{}, params);
+  ASSERT_GE(stats.restarts, 1);
+  ASSERT_EQ(stats.scatter_path_used, scatter_path::cas);
+  params.stats = nullptr;
   semisort_hashed(std::span<const record>(in), std::span<record>(out),
                   record_key{}, params);
   EXPECT_EQ(timings.phases().size(), 5u);

@@ -49,9 +49,11 @@ TEST(InplaceSemisort, MatchesCopyingVersion) {
 }
 
 TEST(InplaceSemisort, RetriesDoNotCorruptInput) {
-  // Force overflows: the retry must restart from the intact input because
-  // nothing has overwritten it yet (all failures happen pre-pack).
+  // Force overflows on the CAS path: the retry must restart from the
+  // intact input because nothing has overwritten it yet (all failures
+  // happen pre-pack).
   semisort_params params;
+  params.scatter_with = semisort_params::scatter_strategy::cas;
   params.alpha = 0.02;
   params.round_to_pow2 = false;
   params.max_retries = 12;

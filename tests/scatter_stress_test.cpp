@@ -1,9 +1,10 @@
 // Interleaving stress for the scatter engine (Phase 3): random
 // configurations of size, skew, bucket sizing, placement path (CAS /
-// blocked), probing mode, worker count and schedule-fuzz seed,
-// in both slot-claiming modes (key-CAS for `record`, flag-array for a
-// record type without a leading key word). Undersized plans must report
-// overflow cleanly on every path and succeed once capacity is restored.
+// exact-count), probing mode, worker count and schedule-fuzz seed, in both
+// record layouts (key-CAS for `record`, flag-array for a record type
+// without a leading key word). Undersized plans must report overflow
+// cleanly on CAS and succeed once capacity is restored; the exact path
+// ignores capacities and must succeed on every plan.
 #include "core/scatter.h"
 
 #include <gtest/gtest.h>
@@ -123,7 +124,7 @@ std::vector<scatter_config> shrink(const scatter_config& c) {
   return out;
 }
 
-// Runs one scatter at the given alpha; on ok verifies occupancy count,
+// Runs one scatter at the given alpha; on ok verifies the record count,
 // permutation, and bucket-boundary placement. Returns the raw result plus
 // any property violation.
 template <typename Record, typename GetKey, typename Less>
@@ -137,34 +138,47 @@ std::pair<scatter_result, std::optional<std::string>> scatter_once(
   radix_sort_u64(std::span<uint64_t>(sample));
   auto plan = build_bucket_plan(std::span<const uint64_t>(sample), in.size(),
                                 params, alpha, ctx);
-  scatter_storage<Record> storage(plan.total_slots, rng(5).next() | 1);
-  auto result = scatter_dispatch(path, std::span<const Record>(in), storage,
-                                 plan, get_key, params, rng(7), ctx);
-  if (result != scatter_result::ok) return {result, std::nullopt};
-
   std::vector<Record> found;
-  size_t occupied = 0;
-  for (size_t i = 0; i < plan.total_slots; ++i) {
-    if (storage.occupied(i)) {
-      ++occupied;
-      found.push_back(storage.slots[i]);
+  std::vector<size_t> slot_of;  // slot index of found[k]
+  std::span<const size_t> bounds = plan.bucket_offset;
+  if (path == scatter_path::blocked) {
+    found.resize(in.size());
+    bounds = scatter_exact(std::span<const Record>(in),
+                           std::span<Record>(found), plan, get_key, ctx);
+    for (size_t i = 0; i < found.size(); ++i) slot_of.push_back(i);
+    if (bounds.back() != in.size()) {
+      return {scatter_result::ok, "exact layout does not end at n"};
+    }
+  } else {
+    scatter_storage<Record> storage(plan.total_slots, rng(5).next() | 1);
+    auto result = scatter_records(std::span<const Record>(in), storage, plan,
+                                  get_key, params, rng(7));
+    if (result != scatter_result::ok) return {result, std::nullopt};
+    for (size_t i = 0; i < plan.total_slots; ++i) {
+      if (storage.occupied(i)) {
+        found.push_back(storage.slots[i]);
+        slot_of.push_back(i);
+      }
     }
   }
-  if (occupied != in.size()) {
-    return {result, "occupied slot count != n (lost or duplicated records)"};
+
+  if (found.size() != in.size()) {
+    return {scatter_result::ok,
+            "occupied slot count != n (lost or duplicated records)"};
   }
   if (!testing::is_permutation_of(std::span<const Record>(found),
                                   std::span<const Record>(in), less)) {
-    return {result, "scattered records are not a permutation of the input"};
+    return {scatter_result::ok,
+            "scattered records are not a permutation of the input"};
   }
-  for (size_t i = 0, b = 0; i < plan.total_slots; ++i) {
-    while (plan.bucket_offset[b + 1] <= i) ++b;
-    if (storage.occupied(i) &&
-        plan.bucket_of(get_key(storage.slots[i])) != b) {
-      return {result, "record placed outside its bucket's slot range"};
+  for (size_t k = 0, b = 0; k < found.size(); ++k) {
+    while (bounds[b + 1] <= slot_of[k]) ++b;
+    if (plan.bucket_of(get_key(found[k])) != b) {
+      return {scatter_result::ok,
+              "record placed outside its bucket's slot range"};
     }
   }
-  return {result, std::nullopt};
+  return {scatter_result::ok, std::nullopt};
 }
 
 template <typename Record, typename GetKey, typename Less>
@@ -184,6 +198,9 @@ std::optional<std::string> run_mode(const scatter_config& c,
     return "unexpected sentinel clash";
   }
   if (result == scatter_result::overflow) {
+    if (path_of(c) == scatter_path::blocked) {
+      return "exact-count path reported overflow";
+    }
     // The Las-Vegas escape hatch: retry with honest capacity must succeed.
     auto [retry, retry_violation] =
         scatter_once(in, get_key, less, params, 1.3, path_of(c));

@@ -1,12 +1,13 @@
-// Tests for Phase 3 — the scatter engine: both placement paths (CAS with
-// linear/random probing, blocked two-pass counting), both slot claiming
-// modes (key-CAS and flag-array), sentinel
-// clash and overflow detection on every path, and the blocked path's
-// deterministic stable placement.
+// Tests for Phase 3 — the scatter engine: the exact-count distribution
+// (contiguous hole-free buckets, stable and byte-identical at every worker
+// count, no overflow at any α) and the paper's CAS path (linear/random
+// probing, key-CAS and flag-array slot claiming, sentinel clash and
+// overflow detection).
 #include "core/scatter.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -34,7 +35,7 @@ struct odd_key {
 };
 
 // 12-byte record — an odd (non-power-of-two, sub-cache-line) size on the
-// flag-array variant, so the CAS path's claims and the blocked path's
+// flag-array variant, so the CAS path's claims and the exact path's
 // placement handle slots that straddle cache lines unevenly.
 struct tiny_record {
   uint32_t lo;
@@ -63,9 +64,6 @@ static_assert(!scatter_storage<odd_record>::kKeyCas,
 static_assert(!scatter_storage<tiny_record>::kKeyCas,
               "tiny_record must take the flag-array path");
 
-constexpr scatter_path kAllPaths[] = {scatter_path::cas,
-                                      scatter_path::blocked};
-
 template <typename Record, typename GetKey>
 std::pair<bucket_plan, std::vector<Record>> plan_for(
     const std::vector<Record>& in, GetKey get_key,
@@ -81,13 +79,11 @@ std::pair<bucket_plan, std::vector<Record>> plan_for(
 
 template <typename Record, typename GetKey, typename Less>
 void check_scatter(const std::vector<Record>& in, GetKey get_key, Less less,
-                   semisort_params params,
-                   scatter_path path = scatter_path::cas) {
+                   semisort_params params) {
   auto [plan, input] = plan_for(in, get_key, params);
   scatter_storage<Record> storage(plan.total_slots, rng(5).next() | 1);
-  auto result =
-      scatter_dispatch(path, std::span<const Record>(input), storage, plan,
-                       get_key, params, rng(7), test_ctx());
+  auto result = scatter_records(std::span<const Record>(input), storage, plan,
+                                get_key, params, rng(7));
   ASSERT_EQ(result, scatter_result::ok);
 
   // Every record present exactly once, inside its own bucket's slot range.
@@ -97,21 +93,51 @@ void check_scatter(const std::vector<Record>& in, GetKey get_key, Less less,
   ASSERT_EQ(found.size(), input.size());
   EXPECT_TRUE(testing::is_permutation_of(std::span<const Record>(found),
                                          std::span<const Record>(input), less));
-  // Placement respects bucket boundaries; the blocked path additionally
-  // fills each bucket front-to-back (occupancy is a prefix).
   for (size_t b = 0; b < plan.num_buckets(); ++b) {
-    bool gap = false;
     for (size_t i = plan.bucket_offset[b]; i < plan.bucket_offset[b + 1]; ++i) {
       if (storage.occupied(i)) {
         ASSERT_EQ(plan.bucket_of(get_key(storage.slots[i])), b) << "slot " << i;
-        if (path != scatter_path::cas) {
-          ASSERT_FALSE(gap) << "bucket " << b << " not prefix-filled";
-        }
-      } else {
-        gap = true;
       }
     }
   }
+}
+
+// The exact path's output for `plan`, checked against its contract:
+// the returned layout has no holes (it ends at n, and the light buckets
+// start at the heavy-record count), the plan's α·f(s) layout is left as
+// built, and the placement equals a stable partition of the input by
+// bucket id — which pins it byte for byte.
+template <typename Record, typename GetKey>
+std::vector<Record> check_exact(const std::vector<Record>& input,
+                                const bucket_plan& plan, GetKey get_key) {
+  pipeline_context scratch;
+  std::vector<Record> dest(input.size());
+  std::vector<size_t> capacities(plan.bucket_offset.begin(),
+                                 plan.bucket_offset.end());
+  std::span<const size_t> start = scatter_exact(
+      std::span<const Record>(input), std::span<Record>(dest), plan, get_key,
+      scratch);
+  EXPECT_TRUE(std::equal(capacities.begin(), capacities.end(),
+                         plan.bucket_offset.begin(), plan.bucket_offset.end()));
+  EXPECT_EQ(start.size(), plan.num_buckets() + 1);
+  EXPECT_EQ(start.front(), 0u);
+  EXPECT_EQ(start.back(), input.size());
+  size_t heavy = 0;
+  for (const Record& r : input) heavy += plan.bucket_of(get_key(r)) < plan.num_heavy;
+  EXPECT_EQ(start[plan.num_heavy], heavy);
+
+  std::vector<Record> expect = input;
+  std::stable_sort(expect.begin(), expect.end(),
+                   [&](const Record& a, const Record& b) {
+                     return plan.bucket_of(get_key(a)) <
+                            plan.bucket_of(get_key(b));
+                   });
+  EXPECT_TRUE(dest == expect) << "not the stable partition by bucket";
+  for (size_t b = 0; b < plan.num_buckets(); ++b) {
+    for (size_t i = start[b]; i < start[b + 1]; ++i)
+      EXPECT_EQ(plan.bucket_of(get_key(dest[i])), b) << "slot " << i;
+  }
+  return dest;
 }
 
 namespace {
@@ -153,24 +179,24 @@ TEST(Scatter, RandomProbingAblation) {
   check_scatter(in, record_key{}, rec_less, params);
 }
 
-TEST(Scatter, BlockedPathKeyCasRecords) {
+TEST(Scatter, ExactPathKeyRecords) {
   auto in = generate_records(100000, {distribution_kind::zipfian, 100000}, 12);
-  check_scatter(in, record_key{}, rec_less, semisort_params{},
-                scatter_path::blocked);
+  auto [plan, input] = plan_for(in, record_key{}, semisort_params{});
+  check_exact(input, plan, record_key{});
 }
 
-TEST(Scatter, BlockedPathFlagModeOddRecords) {
+TEST(Scatter, ExactPathKeyNotFirstMember) {
   std::vector<odd_record> in(60000);
   rng r(14);
   for (size_t i = 0; i < in.size(); ++i)
     in[i] = {static_cast<uint32_t>(i), hash64(r.next_below(700))};
-  check_scatter(in, odd_key{}, odd_less, semisort_params{},
-                scatter_path::blocked);
+  auto [plan, input] = plan_for(in, odd_key{}, semisort_params{});
+  check_exact(input, plan, odd_key{});
 }
 
-TEST(Scatter, TwelveByteRecordsAllPaths) {
+TEST(Scatter, TwelveByteRecordsBothPaths) {
   // 12-byte flag-array records on both paths: slot offsets that are not a
-  // power of two, with flag bytes tracking occupancy.
+  // power of two, with flag bytes tracking occupancy on CAS.
   std::vector<tiny_record> in(50000);
   rng r(15);
   for (size_t i = 0; i < in.size(); ++i) {
@@ -182,31 +208,29 @@ TEST(Scatter, TwelveByteRecordsAllPaths) {
     return tiny_key{}(a) != tiny_key{}(b) ? tiny_key{}(a) < tiny_key{}(b)
                                           : a.tag < b.tag;
   };
-  for (scatter_path path : kAllPaths)
-    check_scatter(in, tiny_key{}, less, semisort_params{}, path);
+  check_scatter(in, tiny_key{}, less, semisort_params{});
+  auto [plan, input] = plan_for(in, tiny_key{}, semisort_params{});
+  check_exact(input, plan, tiny_key{});
 }
 
-TEST(Scatter, SentinelClashDetectedOnEveryPath) {
-  // Force a record whose key equals the sentinel: every path must report
+TEST(Scatter, SentinelClashDetectedOnCas) {
+  // Force a record whose key equals the sentinel: the CAS path must report
   // the clash rather than silently corrupting occupancy.
   auto in = generate_records(5000, {distribution_kind::uniform, 100}, 6);
   uint64_t sentinel = rng(5).next() | 1;
   in[1234].key = sentinel;
   semisort_params params;
   auto [plan, input] = plan_for(in, record_key{}, params);
-  for (scatter_path path : kAllPaths) {
-    scatter_storage<record> storage(plan.total_slots, sentinel);
-    auto result =
-        scatter_dispatch(path, std::span<const record>(input), storage, plan,
-                         record_key{}, params, rng(7), test_ctx());
-    EXPECT_EQ(result, scatter_result::sentinel_clash)
-        << "path " << to_string(path);
-  }
+  scatter_storage<record> storage(plan.total_slots, sentinel);
+  EXPECT_EQ(scatter_records(std::span<const record>(input), storage, plan,
+                            record_key{}, params, rng(7)),
+            scatter_result::sentinel_clash);
 }
 
-TEST(Scatter, OverflowDetectedWhenBucketsTooSmallOnEveryPath) {
+TEST(Scatter, OverflowOnCasButNotOnExactPath) {
   // Shrink every bucket to ~nothing by building the plan for a tiny
-  // pretended n, then scattering far more records into it.
+  // pretended n, then scattering far more records into it: CAS overflows,
+  // the exact path ignores the α·f(s) capacities and lays out exact totals.
   auto few = generate_records(64, {distribution_kind::uniform, 4}, 7);
   semisort_params params;
   params.round_to_pow2 = false;
@@ -220,33 +244,28 @@ TEST(Scatter, OverflowDetectedWhenBucketsTooSmallOnEveryPath) {
   ASSERT_LT(plan.total_slots, 100000u);
 
   auto many = generate_records(100000, {distribution_kind::uniform, 4}, 7);
-  for (scatter_path path : kAllPaths) {
-    scatter_storage<record> storage(plan.total_slots, rng(5).next() | 1);
-    auto result =
-        scatter_dispatch(path, std::span<const record>(many), storage, plan,
-                         record_key{}, params, rng(7), test_ctx());
-    EXPECT_EQ(result, scatter_result::overflow) << "path " << to_string(path);
-  }
+  scatter_storage<record> storage(plan.total_slots, rng(5).next() | 1);
+  EXPECT_EQ(scatter_records(std::span<const record>(many), storage, plan,
+                            record_key{}, params, rng(7)),
+            scatter_result::overflow);
+  check_exact(many, plan, record_key{});
 }
 
-TEST(Scatter, BlockedSentinelClashTriggersSemisortRestart) {
-  // End-to-end: a semisort forced onto the blocked path whose first
-  // attempt draws a sentinel colliding with an input key must restart with
-  // a fresh sentinel and still produce a valid semisort. Plant the colliding
-  // key by computing the sentinel the first attempt will draw.
+TEST(Scatter, ExactPathHasNoSentinelToClash) {
+  // End-to-end: a key equal to the sentinel the first CAS attempt would
+  // draw is just a key to the exact path — no restart, valid output.
   size_t n = 40000;
   auto in = generate_records(n, {distribution_kind::uniform, 500}, 16);
   semisort_params params;
   params.scatter_with = semisort_params::scatter_strategy::blocked;
-  // Attempt 0 seeds its rng exactly like semisort_attempt does.
   rng attempt0(splitmix64(params.seed + 0x9e3779b9ULL * 0));
-  in[77].key = attempt0.split(2).next() | 1;  // the attempt-0 sentinel
+  in[77].key = attempt0.split(2).next() | 1;  // the attempt-0 CAS sentinel
   semisort_stats stats;
   params.stats = &stats;
   std::vector<record> out(n);
   semisort_hashed(std::span<const record>(in), std::span<record>(out),
                   record_key{}, params);
-  EXPECT_GE(stats.restarts, 1);
+  EXPECT_EQ(stats.restarts, 0);
   EXPECT_EQ(stats.scatter_path_used, scatter_path::blocked);
   EXPECT_TRUE(testing::valid_semisort(std::span<const record>(out),
                                       std::span<const record>(in)));
@@ -282,38 +301,21 @@ TEST(Scatter, DeterministicPlacementAcrossWorkerCounts) {
                                          std::span<const record>(seq), less));
 }
 
-TEST(Scatter, BlockedPlacementExactlyDeterministicAcrossWorkerCounts) {
-  // Stronger than the CAS guarantee: the blocked path's two-pass placement
-  // is stable (input order within each bucket) and byte-identical at every
-  // worker count — the full slot array must match, not just per-bucket
-  // multisets.
+TEST(Scatter, ExactPlacementByteIdenticalAcrossWorkersAndFuzz) {
+  // Stronger than the CAS guarantee: the exact path's placement is the
+  // stable partition by bucket at 1, 2 and 4 workers and under perturbed
+  // schedules (check_exact pins every run to the same reference).
   auto in = generate_records(50000, {distribution_kind::exponential, 100}, 9);
-  semisort_params params;
-  auto [plan, input] = plan_for(in, record_key{}, params);
-
-  auto run_with = [&](int workers) {
-    set_num_workers(workers);
-    scatter_storage<record> storage(plan.total_slots, 0x123457ULL);
-    auto result = scatter_dispatch(scatter_path::blocked,
-                                   std::span<const record>(input), storage,
-                                   plan, record_key{}, params, rng(7),
-                                   test_ctx());
-    EXPECT_EQ(result, scatter_result::ok);
-    std::vector<record> recs;
-    for (size_t i = 0; i < plan.total_slots; ++i)
-      recs.push_back(storage.occupied(i) ? storage.slots[i]
-                                         : record{0, 0});
-    return recs;
-  };
+  auto [plan, input] = plan_for(in, record_key{}, semisort_params{});
   int original = num_workers();
-  auto seq = run_with(1);
-  auto par = run_with(4);
-  set_num_workers(original);
-  ASSERT_EQ(seq.size(), par.size());
-  for (size_t i = 0; i < seq.size(); ++i) {
-    ASSERT_EQ(seq[i].key, par[i].key) << "slot " << i;
-    ASSERT_EQ(seq[i].payload, par[i].payload) << "slot " << i;
+  for (int workers : {1, 2, 4}) {
+    for (uint64_t fuzz_seed : {0ull, 11ull}) {
+      set_num_workers(workers);
+      sched_fuzz::scoped_enable fuzz(sched_fuzz::kCompiledIn ? fuzz_seed : 0);
+      check_exact(input, plan, record_key{});
+    }
   }
+  set_num_workers(original);
 }
 
 }  // namespace

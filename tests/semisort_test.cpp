@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -157,16 +159,34 @@ TEST(Semisort, StatsAreFilled) {
   EXPECT_EQ(stats.sample_size, static_cast<size_t>(static_cast<double>(in.size()) * params.sampling_p));
   EXPECT_GT(stats.num_heavy_keys, 0u);  // λ=200 ⇒ many heavy keys
   EXPECT_GT(stats.heavy_records, in.size() / 2);
-  EXPECT_GT(stats.total_slots, in.size() / 2);
   EXPECT_EQ(stats.restarts, 0);
   EXPECT_GT(stats.heavy_fraction(), 0.5);
-  EXPECT_LT(stats.slots_per_record(), 16.0);
+  // The exact-count path: one slot per record, and the heavy region is
+  // exactly the heavy records.
+  EXPECT_EQ(stats.scatter_path_used, scatter_path::blocked);
+  EXPECT_EQ(stats.total_slots, in.size());
+  EXPECT_EQ(stats.slots_per_record(), 1.0);
+  EXPECT_EQ(stats.heavy_slots, stats.heavy_records);
+
+  // The CAS reference run draws the same sample, so it routes the same
+  // heavy records — counted there by a pass over the heavy table — into
+  // α·f(s)-sized buckets.
+  semisort_stats cas;
+  params.stats = &cas;
+  params.scatter_with = semisort_params::scatter_strategy::cas;
+  semisort_hashed(std::span<const record>(in), std::span<record>(out),
+                  record_key{}, params);
+  EXPECT_EQ(cas.heavy_records, stats.heavy_records);
+  EXPECT_GT(cas.total_slots, in.size());
+  EXPECT_LT(cas.slots_per_record(), 16.0);
 }
 
 TEST(Semisort, TimingsCoverFivePhases) {
+  // The paper's five phases under the pinned CAS reference path.
   phase_timer timings;
   semisort_params params;
   params.timings = &timings;
+  params.scatter_with = semisort_params::scatter_strategy::cas;
   auto in = generate_records(200000, {distribution_kind::uniform, 200000}, 13);
   std::vector<record> out(in.size());
   semisort_hashed(std::span<const record>(in), std::span<record>(out),
@@ -180,14 +200,48 @@ TEST(Semisort, TimingsCoverFivePhases) {
   EXPECT_GT(timings.total(), 0.0);
 }
 
+TEST(Semisort, ExactPathLaps) {
+  // The exact-count path has no pack out of place; in place, the copy back
+  // from the staging buffer is the "pack" lap. Stats cost no lap of their
+  // own there (no O(n) pass).
+  auto in = generate_records(200000, {distribution_kind::uniform, 200000}, 13);
+  auto names = [](const phase_timer& t) {
+    std::vector<std::string> v;
+    for (const auto& [name, secs] : t.phases()) v.push_back(name);
+    return v;
+  };
+  const std::vector<std::string> kOutOfPlace = {
+      "sample and sort", "construct buckets", "scatter", "local sort"};
+  std::vector<std::string> in_place = kOutOfPlace;
+  in_place.push_back("pack");
+
+  phase_timer timings;
+  semisort_stats stats;
+  semisort_params params;
+  params.timings = &timings;
+  std::vector<record> out(in.size());
+  semisort_hashed(std::span<const record>(in), std::span<record>(out),
+                  record_key{}, params);
+  EXPECT_EQ(names(timings), kOutOfPlace);
+  params.stats = &stats;
+  semisort_hashed(std::span<const record>(in), std::span<record>(out),
+                  record_key{}, params);
+  EXPECT_EQ(names(timings), kOutOfPlace);
+  std::vector<record> data = in;
+  semisort_hashed_inplace(std::span<record>(data), record_key{}, params);
+  EXPECT_EQ(names(timings), in_place);
+  EXPECT_TRUE(testing::valid_semisort(data, in));
+}
+
 TEST(Semisort, StatsPassGetsItsOwnLap) {
-  // The stats pass runs between local sort and pack; its own lap keeps it
-  // out of the pack phase.
+  // On the CAS path the stats pass runs between local sort and pack; its
+  // own lap keeps it out of the pack phase.
   phase_timer timings;
   semisort_stats stats;
   semisort_params params;
   params.timings = &timings;
   params.stats = &stats;
+  params.scatter_with = semisort_params::scatter_strategy::cas;
   auto in = generate_records(200000, {distribution_kind::uniform, 200000}, 13);
   std::vector<record> out(in.size());
   semisort_hashed(std::span<const record>(in), std::span<record>(out),
@@ -196,6 +250,108 @@ TEST(Semisort, StatsPassGetsItsOwnLap) {
   EXPECT_EQ(timings.phases()[3].first, "local sort");
   EXPECT_EQ(timings.phases()[4].first, "stats");
   EXPECT_EQ(timings.phases()[5].first, "pack");
+}
+
+TEST(Semisort, ExactPathIgnoresAlpha) {
+  // α only sizes CAS buckets; the exact path lays out exact totals, so
+  // even α = 0.001 runs once.
+  semisort_stats stats;
+  semisort_params params;
+  params.alpha = 0.001;
+  params.stats = &stats;
+  auto in = generate_records(100000, {distribution_kind::uniform, 100}, 15);
+  std::vector<record> out(in.size());
+  semisort_hashed(std::span<const record>(in), std::span<record>(out),
+                  record_key{}, params);
+  EXPECT_TRUE(testing::valid_semisort(out, in));
+  EXPECT_EQ(stats.scatter_path_used, scatter_path::blocked);
+  EXPECT_EQ(stats.restarts, 0);
+}
+
+TEST(Semisort, ExactPathByteIdenticalAcrossWorkersAndFuzz) {
+  // The exact path is deterministic end to end: the same output bytes at
+  // 1, 2 and 4 workers and under perturbed schedules, copying and in
+  // place.
+  auto in = generate_records(150000, {distribution_kind::zipfian, 10000}, 16);
+  int original = num_workers();
+  std::vector<record> reference;
+  for (int workers : {1, 2, 4}) {
+    for (uint64_t fuzz_seed : {0ull, 5ull}) {
+      set_num_workers(workers);
+      sched_fuzz::scoped_enable fuzz(sched_fuzz::kCompiledIn ? fuzz_seed : 0);
+      std::vector<record> out(in.size());
+      semisort_hashed(std::span<const record>(in), std::span<record>(out));
+      std::vector<record> data = in;
+      semisort_hashed_inplace(std::span<record>(data));
+      if (reference.empty()) reference = out;
+      EXPECT_TRUE(out == reference) << workers << " workers, fuzz " << fuzz_seed;
+      EXPECT_TRUE(data == reference) << workers << " workers, fuzz " << fuzz_seed;
+    }
+  }
+  set_num_workers(original);
+  EXPECT_TRUE(testing::valid_semisort(reference, in));
+}
+
+// A 12-byte record, and a record whose key is not its first member: the
+// exact path moves them whole through every entry point.
+struct tiny_record {
+  uint32_t lo;
+  uint32_t hi;
+  uint32_t tag;
+  friend bool operator==(const tiny_record&, const tiny_record&) = default;
+};
+static_assert(sizeof(tiny_record) == 12);
+struct key_last_record {
+  uint32_t tag;
+  uint64_t key_value;
+  friend bool operator==(const key_last_record&,
+                         const key_last_record&) = default;
+};
+
+template <typename Record, typename GetKey>
+void check_entry_points(const std::vector<Record>& in, GetKey get_key) {
+  auto valid = [&](const std::vector<Record>& got) {
+    if (!testing::is_semisorted(std::span<const Record>(got), get_key))
+      return false;
+    auto by_bytes = [](const Record& a, const Record& b) {
+      return std::memcmp(&a, &b, sizeof(Record)) < 0;
+    };
+    std::vector<Record> x = got, y = in;
+    std::sort(x.begin(), x.end(), by_bytes);
+    std::sort(y.begin(), y.end(), by_bytes);
+    return x == y;
+  };
+  semisort_stats stats;
+  semisort_params params;
+  params.stats = &stats;
+  std::vector<Record> out(in.size());
+  semisort_hashed(std::span<const Record>(in), std::span<Record>(out), get_key,
+                  params);
+  EXPECT_TRUE(valid(out));
+  EXPECT_EQ(stats.scatter_path_used, scatter_path::blocked);
+  std::vector<Record> data = in;
+  semisort_hashed_inplace(std::span<Record>(data), get_key, params);
+  EXPECT_TRUE(valid(data));
+  EXPECT_EQ(stats.scatter_path_used, scatter_path::blocked);
+  EXPECT_TRUE(valid(semisort_hashed(std::span<const Record>(in), get_key,
+                                    params)));
+}
+
+TEST(Semisort, ExactPathOddRecordLayouts) {
+  rng r(17);
+  std::vector<tiny_record> tiny(80000);
+  std::vector<key_last_record> key_last(80000);
+  for (size_t i = 0; i < tiny.size(); ++i) {
+    uint64_t k = hash64(r.next_below(3000));
+    tiny[i] = {static_cast<uint32_t>(k), static_cast<uint32_t>(k >> 32),
+               static_cast<uint32_t>(i)};
+    key_last[i] = {static_cast<uint32_t>(i), hash64(r.next_below(3000))};
+  }
+  check_entry_points(tiny, [](const tiny_record& t) {
+    return t.lo | (static_cast<uint64_t>(t.hi) << 32);
+  });
+  check_entry_points(key_last,
+                     [](const key_last_record& t) { return t.key_value; });
 }
 
 TEST(Semisort, GeneralApiGroupsStringKeys) {
@@ -233,8 +389,10 @@ TEST(Semisort, WideRecordsKeyCasPath) {
     in[i] = {k, i, i * 2, i * 3, i * 4, i * 5};
   }
   std::vector<wide> out(in.size());
+  semisort_params params;
+  params.scatter_with = semisort_params::scatter_strategy::cas;
   semisort_hashed(std::span<const wide>(in), std::span<wide>(out),
-                  [](const wide& w) { return w.key; });
+                  [](const wide& w) { return w.key; }, params);
   EXPECT_TRUE(testing::is_semisorted(std::span<const wide>(out),
                                      [](const wide& w) { return w.key; }));
   // Payload integrity: every record intact (checksum over all fields).

@@ -353,29 +353,45 @@ bool valid_width(size_t w) {
 
 TEST(SimdStats, EngineReportsContractualWidths) {
   // Exponential(1000): heavy keys AND many small light buckets, so the
-  // scatter, network local sort, and pack kernels all engage. The output
-  // must still be a correct semisort (the kernels change schedules, never
-  // results), and every reported width must be one of {0, 64, 128, 256},
-  // bounded by the build's width.
+  // network local sort engages on every path, the CAS probe prescan and
+  // pack on the CAS path, and the copy back on the in-place exact path.
+  // The output must still be a correct semisort (the kernels change
+  // schedules, never results), and every reported width must be one of
+  // {0, 64, 128, 256}, bounded by the build's width.
   const size_t n = 200000;
   auto in = generate_records(n, {distribution_kind::exponential, 1000}, 17);
-  std::vector<record> out(n);
-  semisort_params params;
-  semisort_stats stats;
-  params.stats = &stats;
-  semisort_hashed(std::span<const record>(in), std::span<record>(out),
-                  record_key{}, params);
-  EXPECT_TRUE(testing::records_semisorted(std::span<const record>(out)));
-  EXPECT_TRUE(testing::records_permutation(out, in));
-  for (size_t w : {stats.simd_hash_width, stats.simd_scatter_width,
-                   stats.simd_local_sort_width, stats.simd_pack_width}) {
-    EXPECT_TRUE(valid_width(w)) << w;
-    EXPECT_LE(w, simd::kWidthBits);
+  auto check_widths = [](const semisort_stats& stats) {
+    for (size_t w : {stats.simd_hash_width, stats.simd_scatter_width,
+                     stats.simd_local_sort_width, stats.simd_pack_width}) {
+      EXPECT_TRUE(valid_width(w)) << w;
+      EXPECT_LE(w, simd::kWidthBits);
+    }
+    // The sampler always hashes.
+    EXPECT_EQ(stats.simd_hash_width, simd::kWidthBits);
+  };
+  for (auto path : {semisort_params::scatter_strategy::cas,
+                    semisort_params::scatter_strategy::blocked}) {
+    std::vector<record> out(n);
+    semisort_params params;
+    params.scatter_with = path;
+    semisort_stats stats;
+    params.stats = &stats;
+    semisort_hashed(std::span<const record>(in), std::span<record>(out),
+                    record_key{}, params);
+    EXPECT_TRUE(testing::records_semisorted(std::span<const record>(out)));
+    EXPECT_TRUE(testing::records_permutation(out, in));
+    check_widths(stats);
+    // The records are trivially copyable, so the CAS pack reports the
+    // build's tier; the out-of-place exact path has no pack at all.
+    bool cas = path == semisort_params::scatter_strategy::cas;
+    EXPECT_EQ(stats.simd_pack_width, cas ? simd::kWidthBits : 0u);
+
+    std::vector<record> data = in;
+    semisort_hashed_inplace(std::span<record>(data), record_key{}, params);
+    EXPECT_TRUE(testing::records_semisorted(std::span<const record>(data)));
+    check_widths(stats);
+    EXPECT_EQ(stats.simd_pack_width, simd::kWidthBits);
   }
-  // The sampler always hashes and the records are trivially copyable, so
-  // hash and pack must report the build's tier, not "no kernel".
-  EXPECT_EQ(stats.simd_hash_width, simd::kWidthBits);
-  EXPECT_EQ(stats.simd_pack_width, simd::kWidthBits);
 }
 
 }  // namespace

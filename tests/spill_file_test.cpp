@@ -1,13 +1,18 @@
 // Tests for shard/spill_file.h: data round-trips through the mapping, the
 // backing temp file is unlinked immediately (nothing left behind by name),
-// no file descriptors leak, and RAII unmaps on every path out of a scope —
-// including exception unwinding.
+// its blocks are reserved at creation (so a full disk is an exception, not
+// SIGBUS), no file descriptors leak, and RAII unmaps on every path out of
+// a scope — including exception unwinding.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
+#include <sys/resource.h>
 #include <sys/stat.h>
+#include <sys/statvfs.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <numeric>
@@ -154,6 +159,56 @@ TEST_F(SpillFileTest, AdviseClampsOutOfRange) {
   f.advise_dontneed(100, 1 << 30);       // length clamped to the mapping
   f.advise_willneed(4095, 2);            // unaligned offset: aligned down
   EXPECT_EQ(f.as_span<uint64_t>()[0], 99u);
+}
+
+// Bytes an unprivileged writer can still allocate under `dir`.
+size_t available_bytes(const std::string& dir) {
+  struct statvfs fs {};
+  if (statvfs(dir.c_str(), &fs) != 0) return 0;
+  return static_cast<size_t>(fs.f_bavail) * fs.f_frsize;
+}
+
+TEST_F(SpillFileTest, ReservesItsBlocksAtCreation) {
+  // A sparse file would leave the free space untouched until pages are
+  // written back; a reserved one takes it now. (The ctest entry runs
+  // serially so no other test moves the filesystem's free count.)
+  constexpr size_t kBytes = size_t{64} << 20;
+  size_t before = available_bytes(dir_);
+  ASSERT_GT(before, 2 * kBytes) << "not enough free space to measure";
+  spill_file f(kBytes);
+  ASSERT_TRUE(f.valid());
+  size_t after = available_bytes(dir_);
+  EXPECT_GE(before > after ? before - after : 0, kBytes / 2)
+      << "free space before " << before << ", after " << after;
+}
+
+TEST_F(SpillFileTest, FileSizeLimitThrowsInsteadOfSignalling) {
+  // A child under a 1 MiB RLIMIT_FSIZE with SIGXFSZ ignored: reserving a
+  // 16 MiB spill must fail in the constructor, as an exception the child
+  // catches — never as SIGBUS from a write through the mapping.
+  constexpr int kThrew = 7, kNoThrow = 8;
+  pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    std::signal(SIGXFSZ, SIG_IGN);
+    struct rlimit lim {};
+    lim.rlim_cur = lim.rlim_max = rlim_t{1} << 20;
+    if (setrlimit(RLIMIT_FSIZE, &lim) != 0) _exit(9);
+    try {
+      spill_file f(size_t{16} << 20);
+      auto bytes = f.as_span<unsigned char>();
+      for (size_t i = 0; i < bytes.size(); i += 4096) bytes[i] = 1;
+    } catch (const std::runtime_error&) {
+      _exit(kThrew);
+    }
+    _exit(kNoThrow);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_FALSE(WIFSIGNALED(status))
+      << "child killed by signal " << WTERMSIG(status);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), kThrew);
 }
 
 TEST_F(SpillFileTest, FallsBackToTmpWhenUnset) {

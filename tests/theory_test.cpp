@@ -22,14 +22,20 @@
 namespace parsemi {
 namespace {
 
+// Pins the paper's CAS scatter: the claims under test are about its
+// α·f(s)-sized buckets, which the default exact-count path does not build
+// (it sizes every bucket from exact counts, so it cannot overflow and uses
+// one slot per record).
 semisort_stats run_with_stats(const std::vector<record>& in, uint64_t seed) {
   semisort_stats stats;
   semisort_params params;
   params.seed = seed;
   params.stats = &stats;
+  params.scatter_with = semisort_params::scatter_strategy::cas;
   std::vector<record> out(in.size());
   semisort_hashed(std::span<const record>(in), std::span<record>(out),
                   record_key{}, params);
+  EXPECT_EQ(stats.scatter_path_used, scatter_path::cas);
   return stats;
 }
 
