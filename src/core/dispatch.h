@@ -3,11 +3,13 @@
 // call to a specialized integer fast path when one applies:
 //
 //   * counting — a direct stable counting/radix placement for small dense
-//     integer key domains (probe in core/key_domain.h): one blocked
-//     counting pass for domain widths ≤ 2^16, two 16-bit-digit LSB radix
-//     passes up to 2^32 (Dong et al. 2024's playbook). No sampling, no
-//     hashing, no Las-Vegas retry — and the output is fully sorted,
-//     stable, and byte-identical at every worker count.
+//     integer key domains (probe in core/key_domain.h): one counting pass
+//     for domain widths ≤ 2^16, two 16-bit-digit LSB radix passes up to
+//     2^32 (Dong et al. 2024's playbook). Each pass is one run of the
+//     library's stable distribution kernel (distribute_stable,
+//     primitives/counting_sort.h) with the key's digit as the bucket. No
+//     sampling, no hashing, no Las-Vegas retry — and the output is fully
+//     sorted, stable, and byte-identical at every worker count.
 //   * offsets — offset-only result shapes that never move a record
 //     (count_by_key's histogram path below; group_by_index's index-only
 //     counting sort).
@@ -43,6 +45,7 @@
 #include "core/key_domain.h"
 #include "core/params.h"
 #include "core/pipeline_context.h"
+#include "primitives/counting_sort.h"
 #include "primitives/histogram.h"
 #include "primitives/pack.h"
 #include "primitives/scan.h"
@@ -78,50 +81,19 @@ inline semisort_params::dispatch_strategy resolve_dispatch_strategy(
   return params.dispatch_with;
 }
 
-// Stable blocked counting placement over `width` buckets: per-block
-// histogram (primitives/histogram.h), bucket base offsets from a scan of
-// the column totals, per-column strided scans turning the count matrix
-// into absolute per-block cursors, then a placement pass where block b
-// owns row b of the matrix as its private cursors. Zero atomics, and the
-// block-major claim order makes the result stable — and byte-identical at
-// every worker count. place(i, pos) receives the source index and its
-// destination slot. A bucket_at(i) ≥ width marks a record outside the
-// domain (a cached plan reused on other keys): the count pass notes it,
-// counts it into bucket 0 to stay in bounds, and the call returns false
-// without placing anything.
+// One stable counting pass over `width` buckets (distribute_stable,
+// primitives/counting_sort.h) in its own arena frame, so a two-pass
+// caller's count matrix is rewound before the next pass allocates.
+// place(i, pos) receives the source index and its destination slot.
+// Returns false, having placed nothing, when some bucket_at(i) ≥ width —
+// a record outside the domain (a cached plan reused on other keys).
 template <typename BucketAt, typename PlaceFn>
-bool counting_place_stable(size_t n, size_t width, BucketAt&& bucket_at,
-                           PlaceFn&& place, pipeline_context& ctx) {
+bool counting_place_stable(size_t n, size_t width, BucketAt bucket_at,
+                           PlaceFn place, pipeline_context& ctx) {
   arena_scope scope(ctx.scratch);
-  size_t block = histogram_block_size(n, width);
-  size_t num_blocks = histogram_num_blocks(n, block);
-  size_t* counts = ctx.scratch.alloc<size_t>(num_blocks * width);
-  std::atomic<bool> outside{false};
-  histogram_blocks(n, block, width, counts, [&](size_t i) {
-    size_t k = bucket_at(i);
-    if (k < width) return k;
-    outside.store(true, std::memory_order_relaxed);
-    return size_t{0};
-  });
-  if (outside.load(std::memory_order_relaxed)) return false;
-  std::span<size_t> totals(ctx.scratch.alloc<size_t>(width), width);
-  parallel_for(0, width, [&](size_t k) {
-    size_t sum = 0;
-    for (size_t b = 0; b < num_blocks; ++b) sum += counts[b * width + k];
-    totals[k] = sum;
-  });
-  size_t scan_blocks = scan_num_blocks(width);
-  std::span<size_t> scan_scratch(ctx.scratch.alloc<size_t>(scan_blocks),
-                                 scan_blocks);
-  scan_exclusive_inplace(totals, size_t{0}, scan_scratch);
-  parallel_for(0, width, [&](size_t k) {
-    scan_exclusive_strided(counts + k, num_blocks, width, totals[k]);
-  });
-  parallel_for_blocks(n, block, [&](size_t b, size_t lo, size_t hi) {
-    size_t* cursor = counts + b * width;
-    for (size_t i = lo; i < hi; ++i) place(i, cursor[bucket_at(i)]++);
-  });
-  return true;
+  std::span<size_t> layout =
+      distribute_stable(n, width, bucket_at, place, ctx.scratch);
+  return !layout.empty();
 }
 
 // Stable counting semisort over an accepted dense domain. One blocked pass
@@ -143,16 +115,19 @@ bool counting_semisort(std::span<const Record> in, std::span<Record> out,
   phase_timer* pt = params.timings;
   if (pt != nullptr) pt->start();
   arena_scope frame(ctx.scratch);
-  uint64_t min = dom.min;
+  const uint64_t min = dom.min;
+  const uint64_t width = dom.width;
+  const Record* src = in.data();
   size_t passes;
-  if (dom.width <= kCountingOnePassMaxWidth) {
+  if (width <= kCountingOnePassMaxWidth) {
     passes = 1;
-    std::span<Record> dst = out;
-    if (aliased) dst = std::span<Record>(ctx.scratch.alloc<Record>(n), n);
+    Record* dst = aliased ? ctx.scratch.alloc<Record>(n) : out.data();
     if (!counting_place_stable(
-            n, static_cast<size_t>(dom.width),
-            [&](size_t i) { return static_cast<size_t>(get_key(in[i]) - min); },
-            [&](size_t i, size_t pos) { dst[pos] = in[i]; }, ctx))
+            n, static_cast<size_t>(width),
+            [src, get_key, min](size_t i) {
+              return static_cast<size_t>(get_key(src[i]) - min);
+            },
+            [src, dst](size_t i, size_t pos) { dst[pos] = src[i]; }, ctx))
       return false;
     if (pt != nullptr) pt->record("dispatch count place");
     if (aliased) {
@@ -164,26 +139,26 @@ bool counting_semisort(std::span<const Record> in, std::span<Record> out,
     }
   } else {
     passes = 2;
-    std::span<Record> tmp(ctx.scratch.alloc<Record>(n), n);
-    size_t high_width = static_cast<size_t>(((dom.width - 1) >> 16) + 1);
+    Record* tmp = ctx.scratch.alloc<Record>(n);
+    Record* dst = out.data();
+    size_t high_width = static_cast<size_t>(((width - 1) >> 16) + 1);
     // Pass 1 maps out-of-domain keys past the digit range, so its count
     // pass rejects them and pass 2's high digits stay below high_width.
     if (!counting_place_stable(
             n, static_cast<size_t>(kCountingOnePassMaxWidth),
-            [&](size_t i) {
-              uint64_t k = get_key(in[i]) - min;
-              return k < dom.width ? static_cast<size_t>(k & 0xffff)
-                                   : SIZE_MAX;
+            [src, get_key, min, width](size_t i) {
+              uint64_t k = get_key(src[i]) - min;
+              return k < width ? static_cast<size_t>(k & 0xffff) : SIZE_MAX;
             },
-            [&](size_t i, size_t pos) { tmp[pos] = in[i]; }, ctx))
+            [src, tmp](size_t i, size_t pos) { tmp[pos] = src[i]; }, ctx))
       return false;
     if (pt != nullptr) pt->record("dispatch radix pass 1");
     counting_place_stable(
         n, high_width,
-        [&](size_t i) {
+        [tmp, get_key, min](size_t i) {
           return static_cast<size_t>((get_key(tmp[i]) - min) >> 16);
         },
-        [&](size_t i, size_t pos) { out[pos] = tmp[i]; }, ctx);
+        [tmp, dst](size_t i, size_t pos) { dst[pos] = tmp[i]; }, ctx);
     if (pt != nullptr) pt->record("dispatch radix pass 2");
   }
   if (params.stats != nullptr) {
@@ -298,31 +273,34 @@ bool try_dispatch_group_by_index(std::span<const Record> in, GetKey&& get_key,
   phase_timer* pt = params.timings;
   if (pt != nullptr) pt->start();
   arena_scope frame(ctx.scratch);
-  uint64_t min = dom.min;
+  const uint64_t min = dom.min;
+  const Record* src = in.data();
   result.order.resize(n);
-  std::span<size_t> order(result.order.data(), n);
+  size_t* order = result.order.data();
   size_t passes = 1;
   if (dom.width <= kCountingOnePassMaxWidth) {
     counting_place_stable(
         n, static_cast<size_t>(dom.width),
-        [&](size_t i) { return static_cast<size_t>(get_key(in[i]) - min); },
-        [&](size_t i, size_t pos) { order[pos] = i; }, ctx);
+        [src, get_key, min](size_t i) {
+          return static_cast<size_t>(get_key(src[i]) - min);
+        },
+        [order](size_t i, size_t pos) { order[pos] = i; }, ctx);
   } else {
     passes = 2;
-    std::span<size_t> tmp(ctx.scratch.alloc<size_t>(n), n);
+    size_t* tmp = ctx.scratch.alloc<size_t>(n);
     size_t high_width = static_cast<size_t>(((dom.width - 1) >> 16) + 1);
     counting_place_stable(
         n, static_cast<size_t>(kCountingOnePassMaxWidth),
-        [&](size_t i) {
-          return static_cast<size_t>((get_key(in[i]) - min) & 0xffff);
+        [src, get_key, min](size_t i) {
+          return static_cast<size_t>((get_key(src[i]) - min) & 0xffff);
         },
-        [&](size_t i, size_t pos) { tmp[pos] = i; }, ctx);
+        [tmp](size_t i, size_t pos) { tmp[pos] = i; }, ctx);
     counting_place_stable(
         n, high_width,
-        [&](size_t i) {
-          return static_cast<size_t>((get_key(in[tmp[i]]) - min) >> 16);
+        [src, tmp, get_key, min](size_t i) {
+          return static_cast<size_t>((get_key(src[tmp[i]]) - min) >> 16);
         },
-        [&](size_t i, size_t pos) { order[pos] = tmp[i]; }, ctx);
+        [tmp, order](size_t i, size_t pos) { order[pos] = tmp[i]; }, ctx);
   }
   if (pt != nullptr) pt->record("dispatch index place");
   std::span<size_t> starts = pack_index_arena(

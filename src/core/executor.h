@@ -67,8 +67,6 @@ class context_binding {
       base_ = ctx_->scratch.mark();
       ctx_->scratch.reset_high_water();
       alloc_snap_ = ctx_->scratch.alloc_count();
-      ctx_->timings = params.timings;
-      ctx_->stats = params.stats;
       // Snapshot the thread's fallback counter / job accounting so
       // finalize() can attribute this call's share to its stats.
       fallback_snap_ = tl_sequential_fallbacks;
@@ -77,11 +75,7 @@ class context_binding {
   }
 
   ~context_binding() {
-    if (owner_) {
-      ctx_->scratch.rewind(base_);
-      ctx_->timings = nullptr;
-      ctx_->stats = nullptr;
-    }
+    if (owner_) ctx_->scratch.rewind(base_);
     ctx_->depth--;
   }
 
@@ -401,8 +395,7 @@ bool semisort_attempt(std::span<const Record> in, std::span<Record> out,
 template <typename Record, typename GetKey>
 void execute_sharded_plan(std::span<const Record> in, std::span<Record> out,
                           GetKey get_key, const semisort_params& params,
-                          const semisort_plan& plan, bool aliased,
-                          const char* who);
+                          const semisort_plan& plan, bool aliased);
 
 // Runs an in-memory (unsharded) plan inside an already-bound frame:
 // counting kernels when the plan accepted a dense domain, otherwise the

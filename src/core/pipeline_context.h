@@ -1,6 +1,6 @@
 // pipeline_context — the per-call spine threaded through every semisort
-// phase and derived operator: one arena (the memory plan), one rng stream,
-// and the borrowed telemetry sinks (phase timer + stats).
+// phase and derived operator: one arena (the memory plan) and one rng
+// stream.
 //
 // Ownership model: a context outlives calls, not the other way around.
 // Callers that semisort repeatedly construct one pipeline_context and pass
@@ -15,23 +15,15 @@
 
 #include "core/arena.h"
 #include "util/rng.h"
-#include "util/timer.h"
 
 namespace parsemi {
 
-struct semisort_stats;  // core/params.h
-
 // Scratch-requirement estimate for one in-memory semisort run — the memory
 // model the shard planner (shard/shard_plan.h) sizes shard record counts
-// against. The analytic side is deliberately conservative: bucket storage is
-// bounded by the slack-factor α over ~2-3 slots/record that the default
+// against. It is deliberately conservative: bucket storage is bounded by
+// the slack-factor α over ~2-3 slots/record that the default
 // light_bucket_samples configuration yields (params.h), plus the sample
-// array, per-block scatter histograms, and the fixed light-range table. A
-// driver that has already executed a shard can feed the arena's measured
-// `peak_scratch_bytes` back through observe(); the estimate then takes the
-// worse of the analytic bound and the observation with 25% headroom, so the
-// plan adapts to the distribution actually being sorted without ever
-// shrinking below what has been seen.
+// array, per-block scatter histograms, and the fixed light-range table.
 struct scratch_model {
   // Bucket slots per input record (α·f(s) overshoot included) and a flag
   // byte per slot (core/scatter.h's scatter_storage).
@@ -42,14 +34,10 @@ struct scratch_model {
   // Light-range table (num_hash_ranges counters + bucket map) and arena
   // block-rounding slack.
   size_t fixed_bytes = (size_t{1} << 16) * 64 + (size_t{8} << 20);
-  // Worst observed per-record scratch (observe()); 0 until a run is seen.
-  double observed_bytes_per_record = 0.0;
 
   double per_record_bytes(size_t record_bytes) const {
-    double analytic = slots_per_record * (static_cast<double>(record_bytes) + 1.0) +
-                      misc_bytes_per_record;
-    double observed = observed_bytes_per_record * 1.25;
-    return observed > analytic ? observed : analytic;
+    return slots_per_record * (static_cast<double>(record_bytes) + 1.0) +
+           misc_bytes_per_record;
   }
 
   // Scratch (arena) bytes one in-memory run over n records needs.
@@ -72,17 +60,6 @@ struct scratch_model {
     double per = static_cast<double>(record_bytes) + per_record_bytes(record_bytes);
     return static_cast<size_t>(static_cast<double>(budget - fixed_bytes) / per);
   }
-
-  // Feed a measured run back into the model (monotone: keeps the worst
-  // per-record observation).
-  void observe(size_t n, size_t record_bytes, size_t measured_peak_bytes) {
-    (void)record_bytes;
-    if (n == 0) return;
-    size_t variable =
-        measured_peak_bytes > fixed_bytes ? measured_peak_bytes - fixed_bytes : 0;
-    double per = static_cast<double>(variable) / static_cast<double>(n);
-    if (per > observed_bytes_per_record) observed_bytes_per_record = per;
-  }
 };
 
 struct pipeline_context {
@@ -92,17 +69,9 @@ struct pipeline_context {
   // (params.seed, attempt) so retries draw fresh randomness.
   rng base{0};
 
-  // Borrowed from semisort_params for the duration of one call.
-  phase_timer* timings = nullptr;
-  semisort_stats* stats = nullptr;
-
   // Re-entrancy depth (derived operators call semisort_hashed with the same
   // context); only the outermost frame owns high-water/alloc accounting.
   int depth = 0;
-
-  void record_phase(const char* name) {
-    if (timings != nullptr) timings->record(name);
-  }
 };
 
 }  // namespace parsemi

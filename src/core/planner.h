@@ -177,19 +177,5 @@ void plan_in_memory(std::span<const Record> in, GetKey&& get_key,
   }
 }
 
-// The whole planner: binding, then exactly one of the two routes — so a
-// plan never pays more than one probe pass. This is what the public
-// plan_semisort_hashed (core/semisort.h) and the CLI's --explain run.
-template <typename Record, typename GetKey>
-semisort_plan build_semisort_plan(std::span<const Record> in, GetKey&& get_key,
-                                  const semisort_params& params,
-                                  pipeline_context& ctx) {
-  semisort_plan plan;
-  init_plan_binding(plan, in.size(), sizeof(Record), params);
-  if (plan_sharded_route(in, get_key, plan)) return plan;
-  plan_in_memory(in, get_key, params, plan, ctx);
-  return plan;
-}
-
 }  // namespace internal
 }  // namespace parsemi

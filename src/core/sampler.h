@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/pipeline_context.h"
+#include "primitives/counting_sort.h"
 #include "scheduler/scheduler.h"
 #include "util/rng.h"
 #include "util/simd.h"
@@ -81,8 +82,9 @@ std::vector<uint64_t> sample_keys(std::span<const Record> in, GetKey get_key,
 namespace internal {
 
 // Allocation-free sorter for the (pre-hashed, hence near-uniform) sample:
-// one parallel MSD counting pass on the top 8 bits into arena scratch, then
-// an independent std::sort per 1/256th of the key space. Small samples skip
+// one MSD distribution pass on the top 8 bits into arena scratch (the
+// library's distribute_stable kernel, primitives/counting_sort.h), then an
+// independent std::sort per 1/256th of the key space. Small samples skip
 // straight to std::sort. Replaces radix_sort_u64 in the pipeline, whose
 // recursive tmp/starts vectors would break the steady-state
 // zero-allocation contract.
@@ -96,43 +98,17 @@ inline void radix_sort_sample(std::span<uint64_t> a, arena& scratch) {
   arena_scope scope(scratch);
   constexpr size_t kBuckets = 256;
   constexpr int kShift = 56;
-  size_t p = static_cast<size_t>(num_workers());
-  size_t block = std::max<size_t>(4096, m / (8 * p) + 1);
-  size_t num_blocks = (m + block - 1) / block;
-
-  std::span<uint64_t> tmp(scratch.alloc<uint64_t>(m), m);
-  // Bucket-major counts matrix: counts[q * num_blocks + b] = block b's
-  // count for bucket q; after the scan, the same cell is block b's write
-  // cursor into bucket q (each cell is exclusive to one block — no atomics).
-  size_t cells = kBuckets * num_blocks;
-  std::span<size_t> counts(scratch.alloc<size_t>(cells), cells);
-  parallel_for_blocks(m, block, [&](size_t b, size_t lo, size_t hi) {
-    size_t local[kBuckets] = {};
-    for (size_t i = lo; i < hi; ++i) local[a[i] >> kShift]++;
-    for (size_t q = 0; q < kBuckets; ++q) counts[q * num_blocks + b] = local[q];
-  });
-  size_t running = 0;
-  for (size_t c = 0; c < cells; ++c) {
-    size_t next = running + counts[c];
-    counts[c] = running;
-    running = next;
-  }
-  // Bucket q's range in tmp is [counts[q*num_blocks], counts[(q+1)*num_blocks]).
-  parallel_for_blocks(m, block, [&](size_t b, size_t lo, size_t hi) {
-    size_t cursor[kBuckets];
-    for (size_t q = 0; q < kBuckets; ++q) cursor[q] = counts[q * num_blocks + b];
-    for (size_t i = lo; i < hi; ++i) tmp[cursor[a[i] >> kShift]++] = a[i];
-  });
+  uint64_t* src = a.data();
+  uint64_t* tmp = scratch.alloc<uint64_t>(m);
+  std::span<const size_t> start = distribute_stable(
+      m, kBuckets,
+      [src](size_t i) { return static_cast<size_t>(src[i] >> kShift); },
+      [src, tmp](size_t i, size_t pos) { tmp[pos] = src[i]; }, scratch);
   parallel_for(
       0, kBuckets,
-      [&](size_t q) {
-        size_t lo = counts[q * num_blocks];
-        size_t hi = q + 1 < kBuckets ? counts[(q + 1) * num_blocks] : m;
-        std::sort(tmp.begin() + static_cast<ptrdiff_t>(lo),
-                  tmp.begin() + static_cast<ptrdiff_t>(hi));
-        std::copy(tmp.begin() + static_cast<ptrdiff_t>(lo),
-                  tmp.begin() + static_cast<ptrdiff_t>(hi),
-                  a.begin() + static_cast<ptrdiff_t>(lo));
+      [src, tmp, start](size_t q) {
+        std::sort(tmp + start[q], tmp + start[q + 1]);
+        std::copy(tmp + start[q], tmp + start[q + 1], src + start[q]);
       },
       1);
 }

@@ -3,14 +3,13 @@
 // Two placement strategies:
 //
 //   * blocked — exact-count distribution, the general path (Dong/Wu et
-//     al. 2023 style). Pass 1 builds per-block bucket histograms
-//     (primitives/histogram.h); the bucket totals and their prefix sum lay
-//     the buckets out back to back with no holes, and a strided column
-//     scan over the (block × bucket) matrix (primitives/scan.h) turns the
-//     histograms into absolute destinations. Pass 2 places every record
-//     straight into the destination with zero atomics. One slot per
-//     record, no sentinel, no capacity, so no overflow and no retry; the
-//     layout is deterministic and stable at every worker count.
+//     al. 2023 style): the library's one stable distribution kernel
+//     (distribute_stable, primitives/counting_sort.h) with the bucket plan
+//     as its bucket function. Exact bucket totals lay the buckets out back
+//     to back with no holes, and every record goes straight to its
+//     destination with zero atomics. One slot per record, no sentinel, no
+//     capacity, so no overflow and no retry; the layout is deterministic
+//     and stable at every worker count.
 //   * CAS — the paper's §4 scatter, kept as the reference ablation: every
 //     record claims a random slot of its α·f(s)-sized bucket with a
 //     compare-and-swap, linear-probing on collision — one atomic and one
@@ -45,8 +44,7 @@
 #include "core/bucket_plan.h"
 #include "core/params.h"
 #include "core/pipeline_context.h"
-#include "primitives/histogram.h"
-#include "primitives/scan.h"
+#include "primitives/counting_sort.h"
 #include "util/default_init_buffer.h"
 #include "scheduler/scheduler.h"
 #include "util/env.h"
@@ -304,57 +302,26 @@ scatter_result scatter_records(std::span<const Record> in,
 }
 
 // Exact-count distribution into `dest` (n records, never aliasing `in`):
-// per-block bucket histograms, the bucket totals' exclusive scan as the
-// layout, a strided column scan converting the histograms to absolute
-// destinations, then contention-free placement — zero atomics, and a
-// deterministic, stable layout (input order preserved within each bucket)
-// at every worker count. `plan` supplies the routing only; its α·f(s)
-// capacities belong to the CAS path. Returns the layout (num_buckets() + 1
-// entries from ctx's arena): bucket b is dest[start[b], start[b+1]), so
-// start[plan.num_heavy] is the heavy-record count and start.back() is n.
+// one distribute_stable pass (primitives/counting_sort.h) by bucket id —
+// zero atomics, and a deterministic, stable layout (input order preserved
+// within each bucket) at every worker count. `plan` supplies the routing
+// only; its α·f(s) capacities belong to the CAS path. Returns the layout
+// (num_buckets() + 1 entries from ctx's arena): bucket b is
+// dest[start[b], start[b+1]), so start[plan.num_heavy] is the heavy-record
+// count and start.back() is n.
 template <typename Record, typename GetKey>
 std::span<size_t> scatter_exact(std::span<const Record> in,
                                 std::span<Record> dest, const bucket_plan& plan,
                                 GetKey get_key, pipeline_context& ctx) {
-  size_t n = in.size();
-  size_t num_buckets = plan.num_buckets();
-  size_t block = histogram_block_size(n, num_buckets);
-  size_t num_blocks = histogram_num_blocks(n, block);
-  size_t* counts = ctx.scratch.alloc<size_t>(num_blocks * num_buckets);
-
-  // Pass 1 — count.
-  histogram_blocks(n, block, num_buckets, counts, [&](size_t i) {
-    return plan.bucket_of(get_key(in[i]));
-  });
-
-  // Layout: bucket totals (column sums), then their exclusive scan. The
-  // closing boundary starts at 0 so the scan leaves n there.
-  std::span<size_t> start(ctx.scratch.alloc<size_t>(num_buckets + 1),
-                          num_buckets + 1);
-  parallel_for(0, num_buckets, [&](size_t b) {
-    size_t sum = 0;
-    for (size_t k = 0; k < num_blocks; ++k) sum += counts[k * num_buckets + b];
-    start[b] = sum;
-  });
-  start[num_buckets] = 0;
-  size_t scan_blocks = internal::scan_num_blocks(start.size());
-  scan_exclusive_inplace(
-      start, size_t{0},
-      std::span<size_t>(ctx.scratch.alloc<size_t>(scan_blocks), scan_blocks));
-
-  // Column scan: counts[blk][b] becomes the slot where block blk starts
-  // writing bucket b.
-  parallel_for(0, num_buckets, [&](size_t b) {
-    scan_exclusive_strided(counts + b, num_blocks, num_buckets, start[b]);
-  });
-
-  // Pass 2 — place. Each block owns disjoint destination ranges per bucket.
-  parallel_for_blocks(n, block, [&](size_t blk, size_t lo, size_t hi) {
-    size_t* cursor = counts + blk * num_buckets;
-    for (size_t i = lo; i < hi; ++i)
-      dest[cursor[plan.bucket_of(get_key(in[i]))]++] = in[i];
-  });
-  return start;
+  const Record* src = in.data();
+  Record* dst = dest.data();
+  const bucket_plan* routing = &plan;
+  return distribute_stable(
+      in.size(), plan.num_buckets(),
+      [src, routing, get_key](size_t i) {
+        return routing->bucket_of(get_key(src[i]));
+      },
+      [src, dst](size_t i, size_t pos) { dst[pos] = src[i]; }, ctx.scratch);
 }
 
 // --- path selection --------------------------------------------------------

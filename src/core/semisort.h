@@ -102,7 +102,7 @@ void semisort_hashed_run(std::span<const Record> in, std::span<Record> out,
       semisort_hashed_run(in, out, get_key, inner, aliased, who);
       return;
     }
-    execute_sharded_plan(in, out, get_key, params, *plan, aliased, who);
+    execute_sharded_plan(in, out, get_key, params, *plan, aliased);
     return;
   }
 

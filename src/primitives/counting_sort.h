@@ -1,71 +1,108 @@
-// Stable parallel counting sort — the paper's §2 building block and the
-// per-pass workhorse of the radix sort (§4 Phase 1).
+// Stable parallel counting sort — the paper's §2 building block — and the
+// one distribution kernel every record-moving counting pass runs:
+// counting_sort below, the exact-count scatter (core/scatter.h), the
+// dense-key dispatch passes (core/dispatch.h), the shard partition
+// (shard/shard_driver.h) and the sample sorter (core/sampler.h).
 //
-// Three phases over n/B blocks:
-//   1. each block counts its keys per bucket           (parallel, O(n) work)
-//   2. a scan over the (bucket-major) count matrix
-//      turns counts into write offsets                 (O(#blocks·m) work)
-//   3. each block re-reads its elements and writes
-//      them to their offsets                           (parallel, O(n) work)
-// Blocks are processed in order within each bucket and elements in order
-// within each block, so the sort is stable.
+// Three passes over n/B blocks:
+//   1. count — each block counts its records per bucket   (parallel, O(n))
+//   2. scan  — the bucket totals' exclusive scan is the layout, and a
+//              scan down each bucket column of the (block × bucket) count
+//              matrix turns row b into block b's write cursors
+//                                                         (O(#blocks·m))
+//   3. place — each block re-reads its records and places them at its
+//              own cursors                                (parallel, O(n))
+// Blocks are claimed in order within each bucket and records in order
+// within each block, so the placement is stable, needs no atomics, and is
+// identical at every worker count.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
+#include "core/arena.h"
+#include "primitives/histogram.h"
 #include "primitives/scan.h"
 #include "scheduler/scheduler.h"
 
 namespace parsemi {
 
+// Stable distribution of n records into num_buckets buckets: block b calls
+// place(i, pos) for each of its records i, pos being i's slot in the
+// bucket-ordered layout. Returns that layout (num_buckets + 1 entries from
+// `scratch`): bucket q is [start[q], start[q+1]) and start.back() == n.
+//
+// A bucket_at(i) ≥ num_buckets (say, a cached plan reused on keys outside
+// its domain) is counted into one extra column — a clamp, not a branch —
+// and when that column is non-empty the call returns an empty span before
+// placing anything.
+//
+// bucket_at and place are taken, and captured by the loop bodies, by
+// value, so callers should pass lambdas that capture raw data pointers by
+// value: the place loop then keeps them in registers, where by-reference
+// forwarding reloads every capture per record (EXPERIMENTS.md, "One
+// distribution kernel").
+template <typename BucketAt, typename PlaceFn>
+std::span<size_t> distribute_stable(size_t n, size_t num_buckets,
+                                    BucketAt bucket_at, PlaceFn place,
+                                    arena& scratch) {
+  const size_t cols = num_buckets + 1;
+  const size_t block = histogram_block_size(n, num_buckets);
+  const size_t num_blocks = histogram_num_blocks(n, block);
+  size_t* counts = scratch.alloc<size_t>(num_blocks * cols);
+  histogram_blocks(n, block, cols, counts, [bucket_at, num_buckets](size_t i) {
+    return std::min(static_cast<size_t>(bucket_at(i)), num_buckets);
+  });
+
+  std::span<size_t> start(scratch.alloc<size_t>(cols), cols);
+  parallel_for(0, cols, [counts, num_blocks, cols, start](size_t q) {
+    size_t sum = 0;
+    for (size_t b = 0; b < num_blocks; ++b) sum += counts[b * cols + q];
+    start[q] = sum;
+  });
+  if (start[num_buckets] != 0) return {};
+  // The out-of-range column is empty, so the scan leaves n there.
+  size_t scan_blocks = internal::scan_num_blocks(cols);
+  scan_exclusive_inplace(
+      start, size_t{0},
+      std::span<size_t>(scratch.alloc<size_t>(scan_blocks), scan_blocks));
+  parallel_for(0, num_buckets, [counts, num_blocks, cols, start](size_t q) {
+    scan_exclusive_strided(counts + q, num_blocks, cols, start[q]);
+  });
+
+  parallel_for_blocks(
+      n, block, [counts, cols, bucket_at, place](size_t b, size_t lo, size_t hi) {
+        size_t* cursor = counts + b * cols;
+        for (size_t i = lo; i < hi; ++i) place(i, cursor[bucket_at(i)]++);
+      });
+  return start;
+}
+
 // Stably sorts `in` into `out` (same length) by key(in[i]) ∈ [0, num_buckets).
 // If `bucket_starts` is non-null it receives num_buckets+1 boundaries, i.e.
 // bucket b occupies out[(*bucket_starts)[b], (*bucket_starts)[b+1]).
+// Throws std::invalid_argument, with `out` untouched, when some key is
+// ≥ num_buckets.
 template <typename T, typename KeyFn>
 void counting_sort(std::span<const T> in, std::span<T> out,
                    size_t num_buckets, KeyFn&& key,
                    std::vector<size_t>* bucket_starts = nullptr) {
-  size_t n = in.size();
-  if (bucket_starts != nullptr) bucket_starts->assign(num_buckets + 1, 0);
-  if (n == 0) return;
-
-  // Blocks big enough that the count matrix stays small relative to n, but
-  // enough of them for parallel balance.
-  size_t p = static_cast<size_t>(num_workers());
-  size_t block = std::max<size_t>(std::max<size_t>(num_buckets, 4096),
-                                  n / (8 * p) + 1);
-  size_t num_blocks = (n + block - 1) / block;
-
-  // counts is bucket-major: counts[bucket * num_blocks + block]. Scanning it
-  // linearly then yields, for each (bucket, block), the first write position
-  // of that block's elements of that bucket.
-  std::vector<size_t> counts(num_buckets * num_blocks, 0);
-  parallel_for_blocks(n, block, [&](size_t b, size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i)
-      counts[key(in[i]) * num_blocks + b]++;
-  });
-
-  size_t total = scan_exclusive_inplace(std::span<size_t>(counts));
-  (void)total;
-
-  if (bucket_starts != nullptr) {
-    // Boundary of bucket b = offset of (bucket b, block 0); final = n.
-    for (size_t q = 0; q < num_buckets; ++q)
-      (*bucket_starts)[q] = counts[q * num_blocks];
-    (*bucket_starts)[num_buckets] = n;
+  arena scratch;
+  const T* src = in.data();
+  T* dst = out.data();
+  std::span<size_t> start = distribute_stable(
+      in.size(), num_buckets,
+      [src, key](size_t i) { return static_cast<size_t>(key(src[i])); },
+      [src, dst](size_t i, size_t pos) { dst[pos] = src[i]; }, scratch);
+  if (start.empty()) {
+    throw std::invalid_argument(
+        "parsemi::counting_sort: a key is outside [0, num_buckets)");
   }
-
-  parallel_for_blocks(n, block, [&](size_t b, size_t lo, size_t hi) {
-    // Local cursor per bucket for this block (strided reads of the matrix).
-    std::vector<size_t> cursor(num_buckets);
-    for (size_t q = 0; q < num_buckets; ++q)
-      cursor[q] = counts[q * num_blocks + b];
-    for (size_t i = lo; i < hi; ++i)
-      out[cursor[key(in[i])]++] = in[i];
-  });
+  if (bucket_starts != nullptr)
+    bucket_starts->assign(start.begin(), start.end());
 }
 
 // Sequential reference (used for tests and tiny inputs).

@@ -30,9 +30,10 @@ inline size_t histogram_num_blocks(size_t n, size_t block) {
 // row-major (num_blocks × num_buckets) matrix where row b holds the bucket
 // histogram of elements [b*block, min((b+1)*block, n)). The caller owns the
 // scratch (histogram_num_blocks(n, block) * num_buckets entries — the
-// arena-backed blocked scatter passes ctx memory and stays heap-free) and
-// the block size, so a later placement pass can revisit the exact same
-// blocking. Rows are zeroed here; no column reduction is performed.
+// distribution kernel in primitives/counting_sort.h passes arena memory and
+// stays heap-free) and the block size, so a later placement pass can
+// revisit the exact same blocking. Rows are zeroed here; no column
+// reduction is performed.
 template <typename KeyFn>
 void histogram_blocks(size_t n, size_t block, size_t num_buckets,
                       size_t* counts, KeyFn&& key) {

@@ -86,9 +86,10 @@ T scan_exclusive_inplace(std::span<T> a, T init = T{}) {
 // Sequential exclusive scan over a strided sequence — one column of a
 // row-major (count × stride) matrix: element k is a[k * stride]. Each
 // a[k*stride] becomes init + sum of the elements before it; returns the
-// column total (init included). The blocked scatter path runs this per
-// bucket column of its (block × bucket) count matrix, parallel across
-// columns, to turn per-block counts into absolute placement offsets.
+// column total (init included). The distribution kernel
+// (primitives/counting_sort.h) runs this per bucket column of its
+// (block × bucket) count matrix, parallel across columns, to turn
+// per-block counts into absolute placement offsets.
 template <typename T>
 T scan_exclusive_strided(T* a, size_t count, size_t stride, T init = T{}) {
   T running = init;

@@ -7,10 +7,11 @@
 // Structure of a sharded call (the plan is made before the driver runs —
 // shard/shard_plan.h groups hash-prefix bins into shards whose estimated
 // input + engine scratch fits the budget):
-//   1. partition — one stable blocked counting pass (the same
-//                histogram / strided-scan / placement idiom as the blocked
-//                scatter and the dispatch fast path) moves every record to
-//                its shard's contiguous range. The destination is the
+//   1. partition — one pass of the library's stable distribution kernel
+//                (distribute_stable, primitives/counting_sort.h — the same
+//                pass the exact-count scatter and the dispatch fast path
+//                run) moves every record to its shard's contiguous range,
+//                and its layout is the shard ranges. The destination is the
 //                caller's `out` storage when it is distinct from `in`;
 //                when the call is in-place the partition writes an
 //                mmap-backed spill run (spill_file.h) instead — the kernel
@@ -39,18 +40,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "core/exec_plan.h"
 #include "core/executor.h"
 #include "core/params.h"
 #include "core/pipeline_context.h"
-#include "primitives/histogram.h"
-#include "primitives/scan.h"
+#include "primitives/counting_sort.h"
 #include "scheduler/scheduler.h"
 #include "shard/shard_plan.h"
 #include "shard/spill_file.h"
-#include "util/simd.h"
 
 namespace parsemi {
 namespace internal {
@@ -93,9 +91,7 @@ inline void accumulate_shard_stats(semisort_stats& agg,
 template <typename Record, typename GetKey>
 void execute_sharded_plan(std::span<const Record> in, std::span<Record> out,
                           GetKey get_key, const semisort_params& params,
-                          const semisort_plan& plan, bool aliased,
-                          const char* who) {
-  (void)who;
+                          const semisort_plan& plan, bool aliased) {
   const size_t n = in.size();
   constexpr size_t kRecordBytes = sizeof(Record);
   const shard_plan& sp = plan.shards;
@@ -131,52 +127,19 @@ void execute_sharded_plan(std::span<const Record> in, std::span<Record> out,
     }
     if (pt != nullptr) pt->record("shard plan");
 
-    // Stable blocked partition by shard id (exact counts, zero atomics —
-    // the dispatch fast path's counting_place_stable shape, inlined here
-    // because the driver also needs the per-shard totals for the ranges).
-    pipeline_context drv_ctx;
-    std::vector<size_t> shard_begin(S + 1, 0);
-    {
-      arena_scope scope(drv_ctx.scratch);
-      auto shard_at = [&](size_t i) {
-        return sp.shard_of_key(get_key(in[i]));
-      };
-      size_t block = histogram_block_size(n, S);
-      size_t num_blocks = histogram_num_blocks(n, block);
-      size_t* counts = drv_ctx.scratch.alloc<size_t>(num_blocks * S);
-      histogram_blocks(n, block, S, counts, shard_at);
-      std::vector<size_t> totals(S, 0);
-      parallel_for(0, S, [&](size_t k) {
-        size_t sum = 0;
-        for (size_t b = 0; b < num_blocks; ++b) sum += counts[b * S + k];
-        totals[k] = sum;
-      });
-      for (size_t k = 0; k < S; ++k)
-        shard_begin[k + 1] = shard_begin[k] + totals[k];
-      parallel_for(0, S, [&](size_t k) {
-        scan_exclusive_strided(counts + k, num_blocks, S, shard_begin[k]);
-      });
-      parallel_for_blocks(n, block, [&](size_t b, size_t lo, size_t hi) {
-        size_t* cursor = counts + b * S;
-        if constexpr (simd::kEnabled) {
-          // Shard ids are independent (hash prefix of the key) — compute 4
-          // per round so their chains overlap; the dependent cursor bumps
-          // then retire back-to-back.
-          size_t i = lo;
-          for (; i + 4 <= hi; i += 4) {
-            size_t s0 = shard_at(i), s1 = shard_at(i + 1), s2 = shard_at(i + 2),
-                   s3 = shard_at(i + 3);
-            part[cursor[s0]++] = in[i];
-            part[cursor[s1]++] = in[i + 1];
-            part[cursor[s2]++] = in[i + 2];
-            part[cursor[s3]++] = in[i + 3];
-          }
-          for (; i < hi; ++i) part[cursor[shard_at(i)]++] = in[i];
-        } else {
-          for (size_t i = lo; i < hi; ++i) part[cursor[shard_at(i)]++] = in[i];
-        }
-      });
-    }
+    // Stable partition by shard id: one distribute_stable pass
+    // (primitives/counting_sort.h), whose layout is the shard ranges.
+    arena partition_scratch;
+    const Record* src = in.data();
+    Record* part_dst = part.data();
+    const shard_plan* shards = &sp;
+    std::span<const size_t> shard_begin = distribute_stable(
+        n, S,
+        [src, shards, get_key](size_t i) {
+          return shards->shard_of_key(get_key(src[i]));
+        },
+        [src, part_dst](size_t i, size_t pos) { part_dst[pos] = src[i]; },
+        partition_scratch);
     if (pt != nullptr) pt->record("partition");
 
     // Execute the in-memory engine shard by shard. One reused context: the
@@ -221,9 +184,9 @@ void execute_sharded_plan(std::span<const Record> in, std::span<Record> out,
       // The call's resident scratch is one engine's working set (shards are
       // sequential) plus the driver's partition matrix.
       st.peak_scratch_bytes = std::max(agg.shard_peak_scratch_bytes,
-                                       drv_ctx.scratch.high_water_bytes());
+                                       partition_scratch.high_water_bytes());
       st.scratch_capacity_bytes = shard_ctx.scratch.capacity_bytes() +
-                                  drv_ctx.scratch.capacity_bytes();
+                                  partition_scratch.capacity_bytes();
     }
   });
 }

@@ -46,8 +46,8 @@ void lsb_pass(std::span<const T> in, std::span<T> out, int shift,
   size_t block = std::max<size_t>(1 << 16, n / (8 * p) + 1);
   size_t num_blocks = (n + block - 1) / block;
 
-  // Bucket-major counts, as in counting_sort, so a flat scan yields each
-  // (bucket, block) write cursor.
+  // Bucket-major counts, so a flat scan yields each (bucket, block) write
+  // cursor.
   std::vector<size_t> counts(kLsbBuckets * num_blocks, 0);
   parallel_for_blocks(n, block, [&](size_t b, size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i)

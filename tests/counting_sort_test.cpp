@@ -1,13 +1,20 @@
 // Tests for the stable parallel counting sort (the paper's §2 building
-// block): correctness vs the sequential reference, stability, and the
-// bucket-boundary output the radix sort relies on.
+// block) and the distribution kernel under it: correctness vs the
+// sequential reference, stability, the bucket-boundary output the radix
+// sort relies on, rejection of out-of-range bucket ids, and placement that
+// does not depend on the worker count.
 #include "primitives/counting_sort.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "core/arena.h"
+#include "scheduler/scheduler.h"
 #include "util/rng.h"
 
 namespace parsemi {
@@ -78,11 +85,112 @@ TEST_P(CountingSortCases, BucketStartsAreCorrect) {
   }
 }
 
+TEST_P(CountingSortCases, KernelLayoutIsTheScanOfTheCounts) {
+  auto [n, buckets] = GetParam();
+  auto in = random_input(n, static_cast<uint32_t>(buckets), n + 3 * buckets);
+  std::vector<size_t> expect(buckets + 1, 0);
+  for (const keyed& k : in) expect[k.key + 1]++;
+  for (size_t q = 1; q <= buckets; ++q) expect[q] += expect[q - 1];
+
+  arena scratch;
+  const keyed* src = in.data();
+  std::vector<uint32_t> placed(n, UINT32_MAX);
+  uint32_t* dst = placed.data();
+  std::span<size_t> start = distribute_stable(
+      n, buckets, [src](size_t i) { return static_cast<size_t>(src[i].key); },
+      [dst](size_t i, size_t pos) { dst[pos] = static_cast<uint32_t>(i); },
+      scratch);
+  ASSERT_EQ(std::vector<size_t>(start.begin(), start.end()), expect);
+  EXPECT_EQ(start.back(), n);
+  // Every slot written once, in input order within each bucket.
+  for (size_t q = 0; q < buckets; ++q) {
+    for (size_t pos = start[q]; pos < start[q + 1]; ++pos) {
+      ASSERT_LT(placed[pos], n);
+      ASSERT_EQ(in[placed[pos]].key, q);
+      if (pos > start[q]) {
+        ASSERT_LT(placed[pos - 1], placed[pos]);
+      }
+    }
+  }
+}
+
+TEST_P(CountingSortCases, OutOfRangeBucketIsRejectedBeforePlacing) {
+  auto [n, buckets] = GetParam();
+  if (n == 0) GTEST_SKIP() << "no index to corrupt";
+  const size_t bad_ids[] = {buckets, SIZE_MAX, buckets + 1};
+  const size_t positions[] = {0, n / 2, n - 1};
+  for (size_t t = 0; t < 3; ++t) {
+    auto in = random_input(n, static_cast<uint32_t>(buckets), n + t);
+    size_t bad_at = positions[t];
+    size_t bad_id = bad_ids[t];
+    std::atomic<size_t> placed{0};
+    std::atomic<size_t>* placed_ptr = &placed;
+    const keyed* src = in.data();
+    arena scratch;
+    std::span<size_t> start = distribute_stable(
+        n, buckets,
+        [src, bad_at, bad_id](size_t i) {
+          return i == bad_at ? bad_id : static_cast<size_t>(src[i].key);
+        },
+        [placed_ptr](size_t, size_t) {
+          placed_ptr->fetch_add(1, std::memory_order_relaxed);
+        },
+        scratch);
+    EXPECT_TRUE(start.empty()) << "bad id at " << bad_at;
+    EXPECT_EQ(placed.load(std::memory_order_relaxed), 0u)
+        << "bad id at " << bad_at;
+
+    // counting_sort reports the same key as an error and leaves out alone.
+    in[bad_at].key = static_cast<uint32_t>(buckets);
+    std::vector<keyed> got(n, keyed{0, 0});
+    EXPECT_THROW(counting_sort(std::span<const keyed>(in),
+                               std::span<keyed>(got), buckets,
+                               [](const keyed& k) {
+                                 return static_cast<size_t>(k.key);
+                               }),
+                 std::invalid_argument);
+    EXPECT_EQ(got, std::vector<keyed>(n, keyed{0, 0}));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AcrossShapes, CountingSortCases,
     ::testing::Values(Case{0, 4}, Case{1, 1}, Case{100, 2}, Case{1000, 256},
                       Case{4096, 256}, Case{100000, 256}, Case{100000, 3},
-                      Case{50000, 1024}, Case{250000, 256}, Case{10000, 1}));
+                      Case{50000, 1024}, Case{250000, 256}, Case{10000, 1},
+                      Case{300, 5000}));
+
+TEST(CountingSort, PlacementIsIdenticalAtEveryWorkerCount) {
+  // Skewed: half the records share bucket 0, the rest spread over 1000.
+  const size_t n = 300000, buckets = 1001;
+  std::vector<uint32_t> key(n);
+  rng r(17);
+  for (size_t i = 0; i < n; ++i)
+    key[i] = r.next_below(2) == 0
+                 ? 0u
+                 : static_cast<uint32_t>(1 + r.next_below(buckets - 1));
+  const uint32_t* src = key.data();
+  auto distribute = [&](int workers) {
+    std::vector<uint32_t> placed(n);
+    std::vector<size_t> layout;
+    uint32_t* dst = placed.data();
+    worker_pool pool(workers);
+    pool.run([&] {
+      ASSERT_EQ(num_workers(), workers);
+      arena scratch;
+      std::span<size_t> start = distribute_stable(
+          n, buckets, [src](size_t i) { return static_cast<size_t>(src[i]); },
+          [dst](size_t i, size_t pos) { dst[pos] = static_cast<uint32_t>(i); },
+          scratch);
+      layout.assign(start.begin(), start.end());
+    });
+    return std::make_pair(placed, layout);
+  };
+  auto one = distribute(1);
+  ASSERT_EQ(one.second.size(), buckets + 1);
+  EXPECT_EQ(distribute(2), one);
+  EXPECT_EQ(distribute(4), one);
+}
 
 TEST(CountingSort, AllSameKey) {
   std::vector<keyed> in(50000, keyed{7, 0});

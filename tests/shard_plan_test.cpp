@@ -35,18 +35,6 @@ TEST(ScratchModel, RecordsForBudgetInvertsFootprint) {
   EXPECT_EQ(m.records_for_budget(1024, 16), 0u);
 }
 
-TEST(ScratchModel, ObserveIsMonotoneAndRaisesTheEstimate) {
-  scratch_model m;
-  size_t analytic = m.estimate_bytes(1000, 16);
-  // An observation far above the analytic bound must raise the estimate...
-  m.observe(1000, 16, m.fixed_bytes + 1000 * 500);
-  EXPECT_GT(m.estimate_bytes(1000, 16), analytic);
-  double high = m.observed_bytes_per_record;
-  // ...and a later, smaller observation must not lower it back.
-  m.observe(1000, 16, m.fixed_bytes + 1000 * 10);
-  EXPECT_EQ(m.observed_bytes_per_record, high);
-}
-
 TEST(ChoosePrefixBits, ClampsToSensibleRange) {
   EXPECT_EQ(internal::choose_prefix_bits(1), 6);     // floor: 64 bins
   EXPECT_EQ(internal::choose_prefix_bits(8), 6);     // 8*8 = 64 bins
