@@ -5,8 +5,9 @@
 // with a user monoid. This is the paper's flagship application (§1: "the
 // core of the MapReduce paradigm"). The pairs themselves are never moved:
 // the spine semisorts 16-byte (hash, index) tags and the fold walks the
-// pairs through the sorted indices, so the only heap allocation is the
-// result vector.
+// pairs through the sorted indices — checking each pair's key against its
+// group's first as it goes, so the grouping is verified in the same single
+// read — and the only heap allocation is the result vector.
 #pragma once
 
 #include <cstdint>
@@ -33,25 +34,27 @@ std::vector<std::pair<K, V>> collect_reduce(
   if (n == 0) return {};
   std::vector<std::pair<K, V>> out;
   internal::operator_frame_keep_stats(params, [&](pipeline_context& ctx) {
-    auto eq_at = [&](uint64_t a, uint64_t b) {
-      return eq(pairs[a].first, pairs[b].first);
-    };
     std::span<internal::key_tag> sorted = internal::tag_semisort(
         n, [&](size_t i) { return hash(pairs[i].first); }, params, ctx);
-    internal::repair_hash_collisions(sorted, eq_at, ctx);
-    std::span<size_t> starts = internal::tag_group_starts(sorted, ctx, eq_at);
-    size_t k = starts.size();
-    out.resize(k);
-    parallel_for(
-        0, k,
-        [&](size_t g) {
-          size_t lo = starts[g], hi = g + 1 < k ? starts[g + 1] : n;
-          V acc = identity;
-          for (size_t i = lo; i < hi; ++i)
-            acc = reduce_fn(acc, pairs[sorted[i].index].second);
-          out[g] = {pairs[sorted[lo].index].first, acc};
-        },
-        1);
+    internal::tag_group_pass(
+        sorted, [&](uint64_t i) -> const K& { return pairs[i].first; }, eq,
+        ctx, [&](std::span<const size_t> starts) {
+          out.resize(starts.size());
+          return internal::all_groups(
+              starts, n, [&](size_t g, size_t lo, size_t hi) {
+                const auto& [key, first] = pairs[sorted[lo].index];
+                V acc = identity;
+                acc = reduce_fn(acc, first);
+                bool same = true;
+                for (size_t i = lo + 1; i < hi; ++i) {
+                  const auto& [k, v] = pairs[sorted[i].index];
+                  if (!eq(k, key)) same = false;
+                  acc = reduce_fn(acc, v);
+                }
+                out[g] = {key, acc};
+                return same;
+              });
+        });
   });
   return out;
 }
@@ -81,20 +84,21 @@ std::vector<std::pair<K, size_t>> count_by_key(
         return;
       }
     }
-    auto eq_at = [&](uint64_t a, uint64_t b) { return eq(keys[a], keys[b]); };
     std::span<internal::key_tag> sorted = internal::tag_semisort(
         n, [&](size_t i) { return hash(keys[i]); }, params, ctx);
-    internal::repair_hash_collisions(sorted, eq_at, ctx);
-    std::span<size_t> starts = internal::tag_group_starts(sorted, ctx, eq_at);
-    size_t k = starts.size();
-    out.resize(k);
-    parallel_for(
-        0, k,
-        [&](size_t g) {
-          size_t lo = starts[g], hi = g + 1 < k ? starts[g + 1] : n;
-          out[g] = {keys[sorted[lo].index], hi - lo};
-        },
-        1);
+    internal::tag_group_pass(
+        sorted, [&](uint64_t i) -> const K& { return keys[i]; }, eq, ctx,
+        [&](std::span<const size_t> starts) {
+          out.resize(starts.size());
+          return internal::all_groups(
+              starts, n, [&](size_t g, size_t lo, size_t hi) {
+                const K& key = keys[sorted[lo].index];
+                out[g] = {key, hi - lo};
+                for (size_t i = lo + 1; i < hi; ++i)
+                  if (!eq(keys[sorted[i].index], key)) return false;
+                return true;
+              });
+        });
   });
   return out;
 }

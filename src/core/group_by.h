@@ -125,8 +125,9 @@ grouped_indices group_by_index(std::span<const Record> in, GetKey get_key = {},
   return result;
 }
 
-// Groups records by an arbitrary key (hashes internally, Las Vegas — hash
-// collisions between distinct keys are detected and repaired).
+// Groups records by an arbitrary key (hashes internally, Las Vegas — the
+// grouping is verified on the output, and hash collisions between distinct
+// keys are repaired when it fails).
 template <typename T, typename KeyFn, typename HashFn,
           typename Eq = std::equal_to<>>
 grouped<T> group_by(std::span<const T> in, KeyFn key_of, HashFn hash,
@@ -135,17 +136,16 @@ grouped<T> group_by(std::span<const T> in, KeyFn key_of, HashFn hash,
   grouped<T> result;
   if (n == 0) return result;
   internal::operator_frame_keep_stats(params, [&](pipeline_context& ctx) {
-    auto eq_at = [&](uint64_t a, uint64_t b) {
-      return eq(key_of(in[a]), key_of(in[b]));
-    };
     std::span<internal::key_tag> sorted = internal::tag_semisort(
         n, [&](size_t i) { return hash(key_of(in[i])); }, params, ctx);
-    internal::repair_hash_collisions(sorted, eq_at, ctx);
-    std::span<size_t> starts = internal::tag_group_starts(sorted, ctx, eq_at);
     result.records.resize(n);
-    parallel_for(0, n,
-                 [&](size_t i) { result.records[i] = in[sorted[i].index]; });
-    result.group_start.assign(starts.begin(), starts.end());
+    internal::tag_group_pass(
+        sorted, [&](uint64_t i) -> decltype(auto) { return key_of(in[i]); },
+        eq, ctx, [&](std::span<const size_t> starts) {
+          result.group_start.assign(starts.begin(), starts.end());
+          return internal::permute_verified(
+              in, std::span<T>(result.records), sorted, starts, key_of, eq);
+        });
     result.group_start.push_back(n);
   });
   return result;

@@ -73,26 +73,27 @@ std::vector<std::pair<K, Acc>> map_reduce(std::span<const Input> inputs,
     // no-op here (we already run on the pool), so this is just the binding
     // plus memory-plan publication.
     internal::operator_frame_keep_stats(params, [&](pipeline_context& ctx) {
-      auto eq_at = [&](uint64_t a, uint64_t b) {
-        return eq(pairs[a].first, pairs[b].first);
-      };
       std::span<internal::key_tag> sorted = internal::tag_semisort(
           total, [&](size_t i) { return hash(pairs[i].first); }, params, ctx);
-      internal::repair_hash_collisions(sorted, eq_at, ctx);
-      std::span<size_t> starts =
-          internal::tag_group_starts(sorted, ctx, eq_at);
-      size_t k = starts.size();
-      out.resize(k);
-      parallel_for(
-          0, k,
-          [&](size_t g) {
-            size_t lo = starts[g], hi = g + 1 < k ? starts[g + 1] : total;
-            Acc acc = init;
-            for (size_t i = lo; i < hi; ++i)
-              acc = reduce_fn(std::move(acc), pairs[sorted[i].index].second);
-            out[g] = {pairs[sorted[lo].index].first, std::move(acc)};
-          },
-          1);
+      internal::tag_group_pass(
+          sorted, [&](uint64_t i) -> const K& { return pairs[i].first; }, eq,
+          ctx, [&](std::span<const size_t> starts) {
+            out.resize(starts.size());
+            return internal::all_groups(
+                starts, total, [&](size_t g, size_t lo, size_t hi) {
+                  const auto& [key, first] = pairs[sorted[lo].index];
+                  Acc acc = init;
+                  acc = reduce_fn(std::move(acc), first);
+                  bool same = true;
+                  for (size_t i = lo + 1; i < hi; ++i) {
+                    const auto& [k, v] = pairs[sorted[i].index];
+                    if (!eq(k, key)) same = false;
+                    acc = reduce_fn(std::move(acc), v);
+                  }
+                  out[g] = {key, std::move(acc)};
+                  return same;
+                });
+          });
     });
   });
   return out;

@@ -4,20 +4,27 @@
 // equi_join, group_aggregate and the general-key `semisort` all follow the
 // same shape: tag every position with (hashed key, index), semisort the
 // 16-byte tags (key-first layout → the scatter's key-CAS fast path), then
-// read the grouping off the sorted tags — optionally repairing 64-bit hash
-// collisions and permuting records. This header is that shape, written
-// once: the tag arrays live in the operator's pipeline_context arena, the
-// inner semisort runs on the same context (so one warm context makes the
-// whole derived operator allocation-free apart from its actual output),
-// and the operator's stats cover the tags plus the inner semisort.
+// read the grouping off the sorted tags. Pre-hashed 64-bit keys group by
+// hash runs outright; operators over arbitrary keys take the hash runs as
+// candidate groups, verify them inside their own pass over the records and
+// repair 64-bit hash collisions only on a mismatch (tag_group_pass). This
+// header is that shape, written once: the tag arrays live in the
+// operator's pipeline_context arena, the inner semisort runs on the same
+// context (so one warm context makes the whole derived operator
+// allocation-free apart from its actual output), and the operator's stats
+// cover the tags plus the inner semisort.
 //
 // Included from core/semisort.h (which it also includes — #pragma once
 // makes either inclusion order work); user code never needs it directly.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/params.h"
@@ -89,17 +96,35 @@ std::span<key_tag> tag_semisort(size_t n, KeyAt&& key_at,
   return std::span<key_tag>(sorted, n);
 }
 
+// Whether a mixed hash run can be regrouped by sorting on the real key: the
+// caller's equality is the key's own operator==, and the key declares a
+// strong ordering — integral keys, std::string, std::string_view, or a
+// user type whose operator<=> returns std::strong_ordering. Under a strong
+// ordering equivalent keys are equal, so a sort brings each class
+// together. (A partial order such as a double's, where NaN is unordered,
+// would not.)
+template <typename Key, typename Eq>
+inline constexpr bool sort_repairable =
+    (std::is_same_v<Eq, std::equal_to<>> ||
+     std::is_same_v<Eq, std::equal_to<Key>>) &&
+    std::three_way_comparable<Key, std::strong_ordering>;
+
 // Repairs runs of equal hashes that mix distinct real keys (a 64-bit hash
 // collision, probability ≲ n²/2⁶⁵): each mixed run is stably regrouped in
-// place by the real equality test. `eq_at(a, b)` compares the *original
-// records* at input positions a and b. With any reasonable hash this scans
-// the run boundaries and touches nothing — but unlike a restart it also
-// terminates under an adversarially bad user hash, at O(run·distinct)
-// local cost, making the general semisort Las Vegas rather than Monte
-// Carlo.
-template <typename EqAt>
-void repair_hash_collisions(std::span<key_tag> sorted, EqAt&& eq_at,
+// place by real key. `key_at(i)` returns the key of the record at input
+// position i; `eq` is the caller's equality. Finding the mixed runs reads
+// every record of every run of length 2 or more, which is why the spine
+// calls this only after a verifying pass has seen a mismatch
+// (tag_group_pass below). A sort-repairable key regroups its run with
+// std::stable_sort, O(run log run) comparisons; a key that supports only
+// equality is bucketed into classes in first-seen order, the one
+// O(run·distinct) case. Either way the call terminates under an
+// adversarially bad user hash, making every collision-prone operator Las
+// Vegas rather than Monte Carlo.
+template <typename KeyAt, typename Eq>
+void repair_hash_collisions(std::span<key_tag> sorted, KeyAt& key_at, Eq& eq,
                             pipeline_context& ctx) {
+  using key_type = std::remove_cvref_t<decltype(key_at(uint64_t{}))>;
   size_t n = sorted.size();
   if (n < 2) return;
   arena_scope scope(ctx.scratch);
@@ -115,16 +140,25 @@ void repair_hash_collisions(std::span<key_tag> sorted, EqAt&& eq_at,
         if (hi - lo < 2) return;
         bool mixed = false;
         for (size_t i = lo + 1; i < hi && !mixed; ++i)
-          mixed = !eq_at(sorted[i].index, sorted[lo].index);
+          mixed = !eq(key_at(sorted[i].index), key_at(sorted[lo].index));
         if (!mixed) return;
         // Distinct keys collided in the hash. Cold path (never taken with
-        // an honest 64-bit hash), so plain heap vectors are fine here:
-        // bucket the run's tags into equality classes, first-seen order.
+        // an honest 64-bit hash), so the heap is fine here.
+        if constexpr (sort_repairable<key_type, std::remove_cvref_t<Eq>>) {
+          auto run = sorted.subspan(lo, hi - lo);
+          std::stable_sort(run.begin(), run.end(),
+                           [&](const key_tag& a, const key_tag& b) {
+                             return key_at(a.index) < key_at(b.index);
+                           });
+          return;
+        }
+        // Equality only: bucket the run's tags into equality classes,
+        // first-seen order.
         std::vector<std::vector<key_tag>> classes;
         for (size_t i = lo; i < hi; ++i) {
           bool placed = false;
           for (auto& cls : classes) {
-            if (eq_at(sorted[i].index, cls.front().index)) {
+            if (eq(key_at(sorted[i].index), key_at(cls.front().index))) {
               cls.push_back(sorted[i]);
               placed = true;
               break;
@@ -141,9 +175,11 @@ void repair_hash_collisions(std::span<key_tag> sorted, EqAt&& eq_at,
 
 // Group-start positions over sorted (and, if needed, repaired) tags:
 // position i opens a group iff its hash differs from its predecessor's or
-// the real keys differ (`eq_at` as above; pass tag_eq_trivial when hash
-// equality IS key equality, i.e. pre-hashed 64-bit keys). Arena-backed, no
-// trailing n sentinel — callers append that to their own output vectors.
+// the real keys differ (`eq_at(a, b)` compares the records at input
+// positions a and b; pass tag_eq_trivial for the hash runs alone, which is
+// the grouping when hash equality IS key equality, i.e. pre-hashed 64-bit
+// keys). Arena-backed, no trailing n sentinel — callers append that to
+// their own output vectors.
 template <typename EqAt>
 std::span<size_t> tag_group_starts(std::span<const key_tag> sorted,
                                    pipeline_context& ctx, EqAt&& eq_at) {
@@ -158,11 +194,79 @@ std::span<size_t> tag_group_starts(std::span<const key_tag> sorted,
 
 inline constexpr auto tag_eq_trivial = [](uint64_t, uint64_t) { return true; };
 
+// Runs group(g, lo, hi) on every group of `starts` (group g spans sorted
+// positions [lo, hi) of n); returns whether every call returned true.
+// Tasks halve the group range until it holds one group or at most
+// kGroupTaskRecords records, so a task costs about the same whether its
+// groups are many and small (a fork per group would dominate a pass over
+// millions of them) or one and large.
+inline constexpr size_t kGroupTaskRecords = 4096;
+
+template <typename Group>
+bool all_groups(std::span<const size_t> starts, size_t n, Group&& group) {
+  size_t k = starts.size();
+  auto end = [&](size_t g) { return g < k ? starts[g] : n; };
+  std::atomic<bool> all{true};
+  auto run = [&](auto& self, size_t glo, size_t ghi) -> void {
+    if (ghi - glo > 1 && end(ghi) - starts[glo] > kGroupTaskRecords) {
+      size_t mid = glo + (ghi - glo) / 2;
+      par_do([&] { self(self, glo, mid); }, [&] { self(self, mid, ghi); });
+      return;
+    }
+    bool ok = true;
+    for (size_t g = glo; g < ghi; ++g)
+      ok = group(g, starts[g], end(g + 1)) && ok;
+    if (!ok) all.store(false, std::memory_order_relaxed);
+  };
+  if (k > 0) run(run, 0, k);
+  return all.load(std::memory_order_relaxed);
+}
+
+// The post-pass of every operator whose keys can collide under the user's
+// hash. The candidate groups are the hash runs of `sorted`, found from the
+// tags alone, in order. `pass(starts)` is the operator's one pass over its
+// records on those groups (fold, count or permute); as it reads each
+// record it also checks the record's key against its group's first key
+// with `eq`, and returns false if any differs. Under an honest 64-bit hash
+// it returns true and that one read per record is the whole post-pass.
+// Otherwise the spine repairs the mixed runs, finds the true group starts
+// by real equality, and runs `pass` again on them (its check then holds by
+// construction, so its result is not consulted).
+template <typename KeyAt, typename Eq, typename Pass>
+void tag_group_pass(std::span<key_tag> sorted, KeyAt&& key_at, Eq&& eq,
+                    pipeline_context& ctx, Pass&& pass) {
+  if (pass(std::span<const size_t>(
+          tag_group_starts(sorted, ctx, tag_eq_trivial)))) {
+    return;
+  }
+  repair_hash_collisions(sorted, key_at, eq, ctx);
+  pass(std::span<const size_t>(tag_group_starts(
+      sorted, ctx,
+      [&](uint64_t a, uint64_t b) { return eq(key_at(a), key_at(b)); })));
+}
+
+// The pass of group_by and the general semisort: gathers the records into
+// `out` in tag order, then checks each group on the output, where its
+// records now sit side by side.
+template <typename T, typename KeyFn, typename Eq>
+bool permute_verified(std::span<const T> in, std::span<T> out,
+                      std::span<const key_tag> sorted,
+                      std::span<const size_t> starts, KeyFn& key_of, Eq& eq) {
+  parallel_for(0, in.size(),
+               [&](size_t i) { out[i] = in[sorted[i].index]; });
+  return all_groups(starts, in.size(), [&](size_t, size_t lo, size_t hi) {
+    auto&& first = key_of(out[lo]);
+    for (size_t i = lo + 1; i < hi; ++i)
+      if (!eq(key_of(out[i]), first)) return false;
+    return true;
+  });
+}
+
 }  // namespace internal
 
 // General semisort for arbitrary key types: hashes keys to 64 bits, runs
-// the tag spine, repairs hash collisions, and permutes the input into a
-// fresh vector.
+// the tag spine, and permutes the input into a fresh vector, verifying the
+// grouping on the output (and repairing hash collisions if it fails).
 //
 //   KeyFn : T → K       (key of a record)
 //   HashFn: K → uint64  (64-bit hash; parsemi::hash64 / hash_string / …)
@@ -177,13 +281,12 @@ std::vector<T> semisort(std::span<const T> in, KeyFn key_of, HashFn hash,
   internal::operator_frame_keep_stats(params, [&](pipeline_context& ctx) {
     std::span<internal::key_tag> sorted = internal::tag_semisort(
         n, [&](size_t i) { return hash(key_of(in[i])); }, params, ctx);
-    internal::repair_hash_collisions(
-        sorted,
-        [&](uint64_t a, uint64_t b) {
-          return eq(key_of(in[a]), key_of(in[b]));
-        },
-        ctx);
-    parallel_for(0, n, [&](size_t i) { out[i] = in[sorted[i].index]; });
+    internal::tag_group_pass(
+        sorted, [&](uint64_t i) -> decltype(auto) { return key_of(in[i]); },
+        eq, ctx, [&](std::span<const size_t> starts) {
+          return internal::permute_verified(in, std::span<T>(out), sorted,
+                                            starts, key_of, eq);
+        });
   });
   return out;
 }

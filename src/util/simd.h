@@ -246,9 +246,11 @@ inline constexpr size_t probe_width() {
 // copy_records — the pack kernel. For trivially-copyable records one
 // memcpy covers the run (glibc's memcpy is already vector-widened and
 // beats an element loop from ~2 records up); the generic form keeps
-// assignment semantics for everything else.
+// assignment semantics for everything else. An empty range may come with
+// null pointers, which memcpy must not be passed even for zero bytes.
 template <typename Record>
 inline void copy_records(Record* dst, const Record* src, size_t count) {
+  if (count == 0) return;
   if constexpr (std::is_trivially_copyable_v<Record>) {
     std::memcpy(static_cast<void*>(dst), static_cast<const void*>(src),
                 count * sizeof(Record));

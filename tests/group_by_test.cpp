@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "test_helpers.h"
+#include "util/rng.h"
 #include "workloads/distributions.h"
 
 namespace parsemi {
@@ -152,6 +153,54 @@ TEST(GroupBy, GroupSpansAreContiguousViews) {
     covered += g.group(grp).size();
   }
   EXPECT_EQ(covered, in.size());
+}
+
+using testing::eq_only_key;
+using testing::kCollidingHashes;
+
+// Checks a group_by result against per-key reference counts: each group
+// holds one key, no key spans two groups, sizes match, and the group count
+// is the distinct-key count.
+template <typename T, typename KeyOf>
+void expect_grouped(const grouped<T>& g, size_t n, KeyOf key_of,
+                    const std::unordered_map<uint64_t, size_t>& expected) {
+  ASSERT_EQ(g.records.size(), n);
+  ASSERT_EQ(g.num_groups(), expected.size());
+  std::unordered_set<uint64_t> closed;
+  for (size_t grp = 0; grp < g.num_groups(); ++grp) {
+    auto span = g.group(grp);
+    ASSERT_FALSE(span.empty());
+    uint64_t key = key_of(span.front());
+    ASSERT_TRUE(closed.insert(key).second) << "key " << key;
+    for (const auto& r : span) ASSERT_EQ(key_of(r), key);
+    ASSERT_EQ(span.size(), expected.at(key));
+  }
+}
+
+TEST(GroupBy, CollidingHashesStillGroupByKey) {
+  rng r(12);
+  std::vector<record> in(40000);
+  for (size_t i = 0; i < in.size(); ++i)
+    in[i] = {r.next_below(300) * 0x9e3779b97f4a7c15ULL, i};
+  std::vector<std::pair<eq_only_key, uint64_t>> eq_only;
+  for (const record& rec : in) eq_only.push_back({eq_only_key{rec.key}, 0});
+  auto expected =
+      testing::key_counts(std::span<const record>(in), record_key{});
+  for (auto hash : kCollidingHashes) {
+    auto g = group_by(std::span<const record>(in), record_key{}, hash);
+    expect_grouped(g, in.size(), record_key{}, expected);
+    EXPECT_TRUE(testing::records_permutation(g.records, in));
+
+    auto h = group_by(
+        std::span<const std::pair<eq_only_key, uint64_t>>(eq_only),
+        [](const std::pair<eq_only_key, uint64_t>& p) { return p.first; },
+        [hash](const eq_only_key& k) { return hash(k.v); });
+    expect_grouped(h, in.size(),
+                   [](const std::pair<eq_only_key, uint64_t>& p) {
+                     return p.first.v;
+                   },
+                   expected);
+  }
 }
 
 }  // namespace

@@ -6,9 +6,11 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "hashing/hash64.h"
+#include "test_helpers.h"
 #include "util/rng.h"
 
 namespace parsemi {
@@ -106,6 +108,38 @@ TEST(MapReduce, StringKeysAndNonCommutativeFold) {
   uint64_t total = 0;
   for (auto& [k, acc] : out) total += acc.count;
   EXPECT_EQ(total, inputs.size());
+}
+
+using testing::kCollidingHashes;
+
+TEST(MapReduce, CollidingHashesStillCountPerWord) {
+  // Documents of word ids spread across 64 bits; map emits (word, 1).
+  rng r(13);
+  std::vector<std::vector<uint64_t>> docs(300);
+  std::unordered_map<uint64_t, uint64_t> expected;
+  for (auto& d : docs) {
+    size_t len = 10 + r.next_below(150);
+    for (size_t i = 0; i < len; ++i) {
+      uint64_t w = r.next_below(400) * 0x9e3779b97f4a7c15ULL;
+      d.push_back(w);
+      expected[w]++;
+    }
+  }
+  for (auto hash : kCollidingHashes) {
+    auto counts =
+        map_reduce<std::vector<uint64_t>, uint64_t, uint64_t, uint64_t>(
+            std::span<const std::vector<uint64_t>>(docs),
+            [](const std::vector<uint64_t>& doc, auto emit) {
+              for (uint64_t w : doc) emit(w, uint64_t{1});
+            },
+            hash, [](uint64_t acc, const uint64_t& v) { return acc + v; },
+            uint64_t{0});
+    ASSERT_EQ(counts.size(), expected.size());
+    std::unordered_map<uint64_t, uint64_t> seen;
+    for (auto& [w, c] : counts)
+      ASSERT_TRUE(seen.emplace(w, c).second) << "word " << w << " twice";
+    EXPECT_EQ(seen, expected);
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "hashing/hash64.h"
 #include "workloads/record.h"
 
 namespace parsemi::testing {
@@ -71,5 +72,20 @@ inline bool valid_semisort(std::span<const record> out,
                            std::span<const record> in) {
   return records_permutation(out, in) && records_semisorted(out);
 }
+
+// Hashes under which distinct keys collide: eight hash values for any
+// number of keys, and one. The tag-spine operators must still group by the
+// real key under both.
+inline uint64_t colliding_hash(uint64_t k) { return hash64(k % 8); }
+inline uint64_t constant_hash(uint64_t) { return 42; }
+inline constexpr uint64_t (*kCollidingHashes[])(uint64_t) = {colliding_hash,
+                                                             constant_hash};
+
+// A key with equality only: a mixed hash run is regrouped by the
+// first-seen class scan, not by a sort.
+struct eq_only_key {
+  uint64_t v;
+  bool operator==(const eq_only_key&) const = default;
+};
 
 }  // namespace parsemi::testing
