@@ -3,7 +3,7 @@
 // Buckets are processed in parallel but each bucket sequentially: w.h.p. a
 // light bucket holds O(log²n) records over O(log²n) distinct keys, so the
 // per-bucket work is tiny, cache-resident, and there are far more buckets
-// than workers. Two drivers share one per-bucket kernel (sort_bucket):
+// than workers. Two drivers share one per-bucket entry point (sort_bucket):
 //   * local_sort_exact_buckets — the general path. The exact-count scatter
 //     laid every bucket out contiguously, so each light bucket is sorted in
 //     place on its own range of the destination.
@@ -12,28 +12,38 @@
 //     start, preserving order), then sorted.
 //
 // Two per-bucket algorithms:
-//   * std_sort — the paper's final choice (§4): introsort by hashed key.
+//   * std_sort — the paper's final choice (§4): sort by hashed key.
 //   * counting_by_naming — the §3 theoretical path: assign dense labels to
 //     the bucket's distinct keys with a small hash table (the *naming
 //     problem*), then one stable counting sort by label. Groups come out
 //     contiguous but NOT ordered by hash value — a useful property test
 //     that callers only rely on the semisort contract.
-// When the accelerated tier is on (util/simd.h) the std_sort route is
-// further specialized by bucket size: ≤ 16 records run a Batcher odd–even
-// merge sorting network (a fixed compare-exchange schedule with branchless
-// cswaps — nothing for the branch predictor to mispredict), kMsdMinBucket
-// to kMsdStackMax records take an MSD byte-pass radix over the hashed key
-// whose groups are finished by those same networks, and every other size
-// keeps introsort.
+// std_sort runs one kernel on the accelerated tier (util/simd.h): every
+// bucket of 2 to kMsdStackMax trivially copyable records of at most 32
+// bytes takes a stable MSD radix sort over the hashed key
+// (radix_bucket_sort). A merged light bucket spans a few adjacent hash
+// ranges, so its keys share their top bits; the kernel therefore splits on
+// the bits the keys actually differ in:
+//   1. one scan ORs key ^ key0 over the range — an all-equal range is done;
+//   2. one stable counting pass sorts by the w = min(12, bit_width(b) + 1)
+//      bits from the highest set bit of that OR down, b the range's size;
+//   3. every digit group of more than 16 records recurses into the kernel;
+//   4. one insertion pass over the whole bucket finishes the small groups.
+// The output equals std::stable_sort by key. Each level moves O(b)
+// records, and a level that recurses holds more than 16 records, so it
+// consumes at least 6 key bits: at most 11 levels. The scratch is stack
+// only — one 16 KiB digit table per level plus one record buffer of
+// kMsdStackMax records, at most 11 · 16 + 128 = 304 KiB — so the kernel
+// never touches the heap or an arena. Bigger buckets, other records and
+// the forced-scalar tier keep std::sort, the reference.
 // The CAS path's compaction is accelerated too: bucket occupancy lives in
 // the slots' key words, so the leading dense run is measured 4 slots per
-// step (simd::occupied_prefix_len) and the rest compacts branchlessly.
-// Everything falls back to the std_sort + two-pointer-sweep reference
-// shapes for non-trivially-copyable records and under PARSEMI_SIMD=OFF.
+// step (simd::occupied_prefix_len) and the rest compacts branchlessly;
+// non-trivially-copyable records and the forced-scalar tier keep the
+// two-pointer sweep.
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <bit>
 #include <cstddef>
@@ -53,122 +63,111 @@ namespace parsemi {
 
 namespace internal {
 
-// Batcher odd–even merge sorting networks for every size 2..16, generated
-// at compile time (the iterative form works for arbitrary n, not only
-// powers of two; n = 16 needs 63 compare-exchanges, smaller n fewer).
-inline constexpr size_t kNetworkMax = 16;
-
-struct sorting_networks {
-  struct ce {
-    uint8_t a = 0, b = 0;  // compare-exchange pair, a < b
-  };
-  std::array<std::array<ce, 63>, kNetworkMax + 1> net{};
-  std::array<uint8_t, kNetworkMax + 1> len{};
-};
-
-constexpr sorting_networks make_sorting_networks() {
-  sorting_networks s{};
-  for (size_t n = 2; n <= kNetworkMax; ++n) {
-    size_t c = 0;
-    for (size_t p = 1; p < n; p <<= 1) {
-      for (size_t k = p; k >= 1; k >>= 1) {
-        for (size_t j = k % p; j + k <= n - 1; j += 2 * k) {
-          for (size_t i = 0; i < k && i + j + k <= n - 1; ++i) {
-            if ((i + j) / (2 * p) == (i + j + k) / (2 * p)) {
-              s.net[n][c++] = {static_cast<uint8_t>(i + j),
-                               static_cast<uint8_t>(i + j + k)};
-            }
-          }
-        }
-      }
-    }
-    s.len[n] = static_cast<uint8_t>(c);
-  }
-  return s;
-}
-
-inline constexpr sorting_networks kSortingNetworks = make_sorting_networks();
-
-// The network operates on (cached key, record) pairs so get_key runs once
-// per record; copies of the record ride through the branchless cswap, so it
-// only applies to small trivially-copyable records (32 bytes covers every
-// engine-internal layout; bigger ones introsort as before).
+// The radix kernel copies records into raw stack storage, so it applies
+// only to small trivially-copyable records (32 bytes covers every
+// engine-internal layout; bigger ones keep std::sort).
 template <typename Record>
-inline constexpr bool network_sortable =
+inline constexpr bool radix_sortable =
     std::is_trivially_copyable_v<Record> && sizeof(Record) <= 32;
 
-// Network on (cached key, record) pairs the caller has already extracted —
-// the MSD byte sort below finishes its small groups this way without
-// re-running get_key.
-template <typename Record>
-void network_sort_cached(uint64_t* keys, Record* recs, size_t n) {
-  const auto& net = kSortingNetworks.net[n];
-  const size_t len = kSortingNetworks.len[n];
-  for (size_t e = 0; e < len; ++e) {
-    simd::cswap(keys[net[e].a], keys[net[e].b], recs[net[e].a],
-                recs[net[e].b]);
-  }
-}
+// The kernel sorts off stack scratch only, never the thread-local arena.
+// This keeps the warm path heap-silent unconditionally: with work
+// stealing, a measured run can land a bucket on a worker whose arena was
+// never touched during warmup, and that first-block allocation would break
+// the zero-warm-allocation contract (alloc_regression_test). On uniform
+// keys the largest merged light bucket holds 1,887 records at n = 10^5 and
+// 2,414 at n = 10^7, so the cap clears the realistic range; a bucket that
+// still exceeds it keeps std::sort.
+inline constexpr size_t kMsdStackMax = 4096;
+inline constexpr int kRadixDigitBits = 12;
+inline constexpr size_t kInsertionMax = 16;
 
+// OR of key ^ key0 over recs[0, n): zero iff every key is equal, otherwise
+// its highest set bit is the highest bit the keys differ in.
 template <typename Record, typename GetKey>
-void network_sort(Record* rec, size_t n, GetKey& get_key) {
-  uint64_t keys[kNetworkMax];
-  for (size_t i = 0; i < n; ++i) keys[i] = get_key(rec[i]);
-  network_sort_cached(keys, rec, n);
+uint64_t key_spread(const Record* recs, size_t n, GetKey& get_key) {
+  const uint64_t key0 = get_key(recs[0]);
+  uint64_t spread = 0;
+  for (size_t i = 1; i < n; ++i) spread |= get_key(recs[i]) ^ key0;
+  return spread;
 }
 
-// Buckets larger than the network cutoff take an MSD byte-pass radix sort
-// when the accelerated tier is on: hashed keys are uniform, so one
-// counting pass over the top byte splits a Θ(log²n)-record bucket into
-// ~256 groups of a handful of records each, finished by the sorting
-// networks (≤ 16) or one more byte level. The passes are branch-free
-// (count, prefix, place — no comparisons), so this replaces introsort's
-// ~n·log n mispredicting compares with ~3 linear sweeps + tiny networks.
-// Output is ascending by hashed key — the same order std_sort produces.
-inline constexpr size_t kMsdMinBucket = 96;
-
-template <typename Record>
-void msd_byte_sort(uint64_t* keys, Record* recs, size_t n, int shift,
-                   uint64_t* ktmp, Record* rtmp) {
-  // Duplicate-heavy buckets routinely hold all-equal groups larger than
-  // the network cutoff. They are already grouped — and without this check
-  // such a group would re-pass through every remaining byte level (8
-  // full count/place sweeps for zero information). Mixed groups exit the
-  // scan at the first mismatch, so the check is ~1 compare when it fails.
-  size_t eq = 1;
-  while (eq < n && keys[eq] == keys[0]) ++eq;
-  if (eq == n) return;
-  uint32_t cnt[256];
-  std::fill(cnt, cnt + 256, 0u);
-  for (size_t i = 0; i < n; ++i) cnt[(keys[i] >> shift) & 255]++;
-  uint32_t ofs[256];
-  uint32_t run = 0;
-  for (size_t b = 0; b < 256; ++b) {
-    ofs[b] = run;
-    run += cnt[b];
+// One stable counting pass over recs[0, n) (spread = key_spread(...) != 0)
+// on the w bits from the spread's highest bit down, through tmp[0, n) and
+// back; digit groups of more than kInsertionMax records recurse, smaller
+// ones are left for insertion_pass.
+template <typename Record, typename GetKey>
+void radix_level(Record* recs, Record* tmp, size_t n, uint64_t spread,
+                 GetKey& get_key) {
+  const int top = static_cast<int>(std::bit_width(spread));
+  const int w = std::min({kRadixDigitBits,
+                          static_cast<int>(std::bit_width(n)) + 1, top});
+  const int shift = top - w;
+  const uint64_t mask = (uint64_t{1} << w) - 1;
+  const size_t digits = size_t{1} << w;
+  uint32_t pos[size_t{1} << kRadixDigitBits];
+  std::fill_n(pos, digits, 0u);
+  for (size_t i = 0; i < n; ++i) ++pos[(get_key(recs[i]) >> shift) & mask];
+  uint32_t run = 0, largest = 0;
+  for (size_t d = 0; d < digits; ++d) {
+    const uint32_t c = pos[d];
+    largest = std::max(largest, c);
+    pos[d] = run;
+    run += c;
   }
   for (size_t i = 0; i < n; ++i) {
-    uint32_t p = ofs[(keys[i] >> shift) & 255]++;
-    ktmp[p] = keys[i];
-    rtmp[p] = recs[i];
+    tmp[pos[(get_key(recs[i]) >> shift) & mask]++] = recs[i];
   }
-  std::memcpy(keys, ktmp, n * sizeof(uint64_t));
-  simd::copy_records(recs, rtmp, n);
-  size_t start = 0;
-  for (size_t b = 0; b < 256; ++b) {
-    size_t len = cnt[b];
-    if (len > 1) {
-      if (len <= kNetworkMax) {
-        network_sort_cached(keys + start, recs + start, len);
-      } else if (shift > 0) {
-        msd_byte_sort(keys + start, recs + start, len, shift - 8,
-                      ktmp + start, rtmp + start);
+  simd::copy_records(recs, tmp, n);
+  if (largest <= kInsertionMax) return;
+  // pos[d] is now the end of digit d's group.
+  uint32_t begin = 0;
+  for (size_t d = 0; d < digits; ++d) {
+    const uint32_t len = pos[d] - begin;
+    if (len > kInsertionMax) {
+      if (uint64_t s = key_spread(recs + begin, len, get_key)) {
+        radix_level(recs + begin, tmp + begin, len, s, get_key);
       }
-      // shift == 0 with len > kNetworkMax: all 8 key bytes are consumed,
-      // so the group's keys are identical — already grouped.
     }
-    start += len;
+    begin = pos[d];
   }
+}
+
+// Stable insertion sort. After radix_level every record is in order
+// relative to every other group, so records move only within their own
+// group of at most kInsertionMax.
+template <typename Record, typename GetKey>
+void insertion_pass(Record* recs, size_t n, GetKey& get_key) {
+  uint64_t prev = get_key(recs[0]);
+  for (size_t i = 1; i < n; ++i) {
+    const uint64_t key = get_key(recs[i]);
+    if (key >= prev) {
+      prev = key;
+      continue;
+    }
+    const Record r = recs[i];
+    size_t j = i;
+    do {
+      recs[j] = recs[j - 1];
+      --j;
+    } while (j > 0 && get_key(recs[j - 1]) > key);
+    recs[j] = r;
+  }
+}
+
+// The kernel's entry point: sorts one bucket of 2 to kMsdStackMax records
+// stably by key.
+template <typename Record, typename GetKey>
+void radix_bucket_sort(std::span<Record> bucket, GetKey& get_key) {
+  const size_t n = bucket.size();
+  const uint64_t spread = key_spread(bucket.data(), n, get_key);
+  if (spread == 0) return;
+  // Raw storage is fine: radix_sortable gates this path to
+  // trivially-copyable records.
+  alignas(Record) std::byte tmp_raw[kMsdStackMax * sizeof(Record)];
+  radix_level(bucket.data(), reinterpret_cast<Record*>(tmp_raw), n, spread,
+              get_key);
+  insertion_pass(bucket.data(), n, get_key);
 }
 
 // Per-worker scratch for the naming sort. The shared pipeline arena is not thread-safe and this runs inside a
@@ -179,33 +178,6 @@ void msd_byte_sort(uint64_t* keys, Record* recs, size_t n, int shift,
 inline arena& bucket_scratch() {
   static thread_local arena a(/*prime_pages=*/false);
   return a;
-}
-
-// The MSD route sorts off stack scratch only (128 KiB for 16-byte
-// records at the 4096 cap, well inside a worker's default 8 MiB stack) —
-// never the thread-local arena. This keeps the warm path heap-silent
-// unconditionally: with work stealing, a measured run can land a bucket
-// on a worker whose arena was never touched during warmup, and that
-// first-block allocation would break the zero-warm-allocation contract
-// (alloc_regression_test). Merged light buckets measure ~2000 records at
-// n = 10^5 and ~2900 at n = 10^7 and grow roughly logarithmically, so
-// the cap clears the realistic range; a bucket that still exceeds it
-// keeps introsort.
-inline constexpr size_t kMsdStackMax = 4096;
-
-// MSD entry point for one bucket (n ≤ kMsdStackMax, enforced by the
-// dispatch below): caches keys once, then byte passes.
-template <typename Record, typename GetKey>
-void msd_bucket_sort(std::span<Record> bucket, GetKey& get_key) {
-  size_t n = bucket.size();
-  uint64_t keys[kMsdStackMax];
-  uint64_t ktmp[kMsdStackMax];
-  // Raw storage is fine: network_sortable gates this path to
-  // trivially-copyable records.
-  alignas(Record) std::byte rtmp_raw[kMsdStackMax * sizeof(Record)];
-  Record* rtmp = reinterpret_cast<Record*>(rtmp_raw);
-  for (size_t i = 0; i < n; ++i) keys[i] = get_key(bucket[i]);
-  msd_byte_sort(keys, bucket.data(), n, 56, ktmp, rtmp);
 }
 
 // Sequential naming + counting sort for one small bucket.
@@ -248,31 +220,28 @@ void counting_sort_by_naming(std::span<Record> bucket, GetKey& get_key) {
   std::copy(tmp, tmp + n, bucket.begin());
 }
 
-// Semisorts one light bucket in place with the configured kernel. Returns
-// true when an accelerated kernel (sorting network or MSD byte sort) ran.
+// Semisorts one light bucket in place with the configured algorithm.
+// Returns true when the radix kernel ran.
 template <typename Record, typename GetKey>
 bool sort_bucket(std::span<Record> bucket, GetKey& get_key,
                  const semisort_params& params) {
-  size_t count = bucket.size();
-  auto by_key = [&](const Record& a, const Record& b) {
-    return get_key(a) < get_key(b);
-  };
   if (params.local_sort ==
       semisort_params::local_sort_algo::counting_by_naming) {
     counting_sort_by_naming(bucket, get_key);
     return false;
   }
-  if constexpr (network_sortable<Record> && simd::kEnabled) {
-    if (count > 1 && count <= kNetworkMax) {
-      network_sort(bucket.data(), count, get_key);
-      return true;
-    }
-    if (count >= kMsdMinBucket && count <= kMsdStackMax) {
-      msd_bucket_sort(bucket, get_key);
+  const size_t count = bucket.size();
+  if (count < 2) return false;
+  if constexpr (radix_sortable<Record> && simd::kEnabled) {
+    if (count <= kMsdStackMax) {
+      radix_bucket_sort(bucket, get_key);
       return true;
     }
   }
-  if (count > 1) std::sort(bucket.begin(), bucket.end(), by_key);
+  std::sort(bucket.begin(), bucket.end(),
+            [&](const Record& a, const Record& b) {
+              return get_key(a) < get_key(b);
+            });
   return false;
 }
 
@@ -314,8 +283,8 @@ void local_sort_exact_buckets(std::span<Record> dest,
 // span of plan.num_light elements, typically arena-allocated by the
 // attempt loop) receives the number of records in light bucket j after
 // compaction. `kernel_used` (optional) is set when at least one bucket
-// engaged an accelerated kernel (prefix-scan compaction, sorting network,
-// or the MSD byte sort).
+// engaged an accelerated kernel (prefix-scan compaction or the radix
+// kernel).
 template <typename Record, typename GetKey>
 void local_sort_light_buckets(scatter_storage<Record>& storage,
                               const bucket_plan& plan, GetKey get_key,

@@ -164,7 +164,7 @@ struct semisort_stats {
   // blocked scatter, flag-array CAS, non-trivially-copyable records).
   size_t simd_hash_width = 0;        // batched sample-position + key hashing
   size_t simd_scatter_width = 0;     // CAS probe prescan
-  size_t simd_local_sort_width = 0;  // sorting networks on light buckets
+  size_t simd_local_sort_width = 0;  // radix kernel on light buckets
   size_t simd_pack_width = 0;        // widened record-run copies
 
   double heavy_fraction() const {

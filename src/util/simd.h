@@ -259,20 +259,5 @@ inline void copy_records(Record* dst, const Record* src, size_t count) {
   }
 }
 
-// Branchless compare-exchange on (key, record) pairs — the sorting-network
-// primitive. The ternary selects compile to cmov / vector blends for
-// trivially-copyable records; no branch, so the network's fixed schedule
-// never mispredicts.
-template <typename Record>
-inline void cswap(uint64_t& ka, uint64_t& kb, Record& ra, Record& rb) {
-  const bool s = kb < ka;
-  const uint64_t k0 = ka, k1 = kb;
-  ka = s ? k1 : k0;
-  kb = s ? k0 : k1;
-  const Record r0 = ra, r1 = rb;
-  ra = s ? r1 : r0;
-  rb = s ? r0 : r1;
-}
-
 }  // namespace simd
 }  // namespace parsemi

@@ -1,10 +1,9 @@
-// Differential tests for the SIMD abstraction (util/simd.h): every
-// dispatched entry point must be bit-exact with its scalar reference in
-// simd::scalar:: over property-generated inputs, the compile-time sorting
-// networks (core/local_sort.h) must sort every permutation (exhaustively
-// for n <= 8, randomized and duplicate-heavy for 9..16) in agreement with
-// std::stable_sort's key order, and the end-to-end engine must report
-// per-phase widths that honor the stats contract in core/params.h.
+// Differential tests for the SIMD abstraction (util/simd.h) and the
+// local-sort radix kernel (core/local_sort.h): every dispatched entry point
+// must be bit-exact with its scalar reference in simd::scalar:: over
+// property-generated inputs, the radix kernel must equal std::stable_sort
+// record for record on every bucket shape, and the end-to-end engine must
+// report per-phase widths that honor the stats contract in core/params.h.
 #include "util/simd.h"
 
 #include <gtest/gtest.h>
@@ -12,8 +11,9 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <numeric>
+#include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/local_sort.h"
@@ -159,66 +159,6 @@ TEST(SimdOccupiedPrefix, RandomOccupancyAgrees) {
   }
 }
 
-// ---------------------------------------------------------- msd_byte_sort
-
-void check_msd_sorts(std::vector<record> input) {
-  std::vector<record> expect = input;
-  std::stable_sort(expect.begin(), expect.end(),
-                   [](const record& a, const record& b) {
-                     return a.key < b.key;
-                   });
-  std::vector<record> got = input;
-  record_key get_key;
-  if (got.size() <= internal::kMsdStackMax) {
-    // In-contract sizes go through the engine's stack-scratch entry point.
-    internal::msd_bucket_sort(std::span<record>(got), get_key);
-  } else {
-    // Above the entry point's cap (the engine dispatch routes such buckets
-    // to introsort), drive the core byte passes with caller scratch to
-    // test the algorithm at larger sizes too.
-    size_t n = got.size();
-    std::vector<uint64_t> keys(n), ktmp(n);
-    std::vector<record> rtmp(n);
-    for (size_t i = 0; i < n; ++i) keys[i] = get_key(got[i]);
-    internal::msd_byte_sort(keys.data(), got.data(), n, 56, ktmp.data(),
-                            rtmp.data());
-  }
-  for (size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i].key, expect[i].key) << "at " << i;
-  }
-  ASSERT_TRUE(testing::records_permutation(got, input));
-}
-
-TEST(MsdByteSort, RandomFullWidthKeys) {
-  rng r(47);
-  for (size_t n : {size_t{17}, size_t{96}, size_t{100}, size_t{300},
-                   size_t{1000}, size_t{4096}, size_t{6000}}) {
-    std::vector<record> in(n);
-    for (auto& rec : in) rec = {r.next(), r.next()};
-    check_msd_sorts(std::move(in));
-  }
-}
-
-TEST(MsdByteSort, DuplicateHeavyAndAdversarialKeys) {
-  rng r(53);
-  // Duplicate-heavy: the all-equal >16 groups terminate at shift 0.
-  for (size_t n : {size_t{100}, size_t{512}}) {
-    std::vector<record> dup(n);
-    for (auto& rec : dup) rec = {r.next_below(5), r.next()};
-    check_msd_sorts(std::move(dup));
-  }
-  // Keys differing only in the LAST byte: every level except the deepest
-  // sees one giant group, forcing recursion through all 8 byte passes.
-  std::vector<record> deep(200);
-  for (auto& rec : deep) rec = {0xAABBCCDD11223300ull | r.next_below(256),
-                                r.next()};
-  check_msd_sorts(std::move(deep));
-  // All equal.
-  std::vector<record> equal(300, record{42, 0});
-  for (auto& rec : equal) rec.payload = r.next();
-  check_msd_sorts(std::move(equal));
-}
-
 // ------------------------------------------------------------ copy_records
 
 TEST(SimdCopyRecords, TriviallyCopyableMatchesElementLoop) {
@@ -240,107 +180,193 @@ TEST(SimdCopyRecords, NonTrivialTypeUsesAssignment) {
   EXPECT_EQ(src[0], "alpha");  // copied, not moved
 }
 
-// ------------------------------------------------------------------ cswap
+// ------------------------------------------------------------ radix kernel
 
-TEST(SimdCswap, OrdersPairsAndKeepsPayloadsAttached) {
-  uint64_t ka = 9, kb = 2;
-  record ra{9, 100}, rb{2, 200};
-  simd::cswap(ka, kb, ra, rb);
-  EXPECT_EQ(ka, 2u);
-  EXPECT_EQ(kb, 9u);
-  EXPECT_EQ(ra, (record{2, 200}));
-  EXPECT_EQ(rb, (record{9, 100}));
-  // Already ordered (and the equal case): no movement.
-  simd::cswap(ka, kb, ra, rb);
-  EXPECT_EQ(ka, 2u);
-  uint64_t kc = 5, kd = 5;
-  record rc{5, 1}, rd{5, 2};
-  simd::cswap(kc, kd, rc, rd);
-  EXPECT_EQ(rc, (record{5, 1}));
-  EXPECT_EQ(rd, (record{5, 2}));
-}
-
-// ------------------------------------------------------- sorting networks
-
-TEST(SortingNetworks, SchedulesAreWellFormed) {
-  const auto& nets = internal::kSortingNetworks;
-  for (size_t n = 2; n <= internal::kNetworkMax; ++n) {
-    size_t len = nets.len[n];
-    ASSERT_GT(len, 0u) << n;
-    ASSERT_LE(len, size_t{63}) << n;
-    for (size_t e = 0; e < len; ++e) {
-      ASSERT_LT(nets.net[n][e].a, nets.net[n][e].b) << n;
-      ASSERT_LT(nets.net[n][e].b, n) << n;
-    }
-  }
-  // Batcher's count for n = 16 is exactly 63 compare-exchanges.
-  EXPECT_EQ(nets.len[16], 63u);
-}
-
-struct identity_key {
-  uint64_t operator()(const record& r) const { return r.key; }
+// Key patterns for the kernel, each aimed at one way it could go wrong.
+enum class key_pattern {
+  random,        // full-width keys: one level splits to near-singletons
+  alphabet5,     // big all-equal groups, the stability case
+  all_equal,     // the first scan finishes the bucket
+  last_byte,     // only the lowest 8 bits differ
+  shared_digit,  // two values at bit 40, then 28 random bits: the first
+                 // digit splits two ways and both halves recurse
+  top_and_low,   // the top bit plus the low 6 bits: the digits skip the
+                 // 57 bits every key shares
+  multiples,     // i * 1000, shuffled
 };
 
-void check_network_sorts(std::vector<record> input) {
-  const size_t n = input.size();
-  std::vector<record> expect = input;
-  std::stable_sort(expect.begin(), expect.end(),
-                   [](const record& a, const record& b) {
-                     return a.key < b.key;
-                   });
-  identity_key get_key;
-  internal::network_sort(input.data(), n, get_key);
-  // The network is not stable, so compare the key sequence against
-  // stable_sort's and the records as a multiset.
-  for (size_t i = 0; i < n; ++i)
-    ASSERT_EQ(input[i].key, expect[i].key) << "position " << i;
-  ASSERT_TRUE(testing::records_permutation(input, expect));
+constexpr key_pattern kPatterns[] = {
+    key_pattern::random,       key_pattern::alphabet5,
+    key_pattern::all_equal,    key_pattern::last_byte,
+    key_pattern::shared_digit, key_pattern::top_and_low,
+    key_pattern::multiples};
+
+std::vector<uint64_t> pattern_keys(key_pattern p, size_t n, rng& r) {
+  std::vector<uint64_t> keys(n);
+  for (size_t i = 0; i < n; ++i) {
+    switch (p) {
+      case key_pattern::random: keys[i] = r.next(); break;
+      case key_pattern::alphabet5: keys[i] = r.next_below(5); break;
+      case key_pattern::all_equal: keys[i] = 0x5EEDull; break;
+      case key_pattern::last_byte:
+        keys[i] = 0xAABBCCDD11223300ull | r.next_below(256);
+        break;
+      case key_pattern::shared_digit:
+        keys[i] = (r.next_below(2) << 40) | r.next_below(uint64_t{1} << 28);
+        break;
+      case key_pattern::top_and_low:
+        keys[i] = (r.next_below(2) << 63) | r.next_below(64);
+        break;
+      case key_pattern::multiples: keys[i] = i * 1000; break;
+    }
+  }
+  if (p == key_pattern::multiples) {
+    for (size_t i = n; i > 1; --i)
+      std::swap(keys[i - 1], keys[r.next_below(i)]);
+  }
+  return keys;
 }
 
-TEST(SortingNetworks, EveryPermutationUpTo8Sorts) {
-  // Exhaustive 0-1-principle-free proof for the small sizes: distinct keys,
-  // every one of the n! input orders.
-  for (size_t n = 2; n <= 8; ++n) {
-    std::vector<uint64_t> perm(n);
-    std::iota(perm.begin(), perm.end(), 0);
-    do {
-      std::vector<record> in(n);
-      for (size_t i = 0; i < n; ++i)
-        in[i] = {perm[i] * 1000 + 5, perm[i]};
-      check_network_sorts(std::move(in));
-    } while (std::next_permutation(perm.begin(), perm.end()));
+// Record layouts besides `record` (16 bytes, key first): a 12-byte record
+// with a 4-byte-aligned split key, the 32-byte cap, and a key that is not
+// the first field. None has padding, so memcmp compares them exactly.
+struct rec12 {
+  uint32_t key_lo, key_hi, payload;
+};
+struct rec32 {
+  uint64_t key, payload[3];
+};
+struct key_second {
+  uint64_t payload, key;
+};
+static_assert(sizeof(rec12) == 12 && sizeof(rec32) == 32);
+
+struct rec12_key {
+  uint64_t operator()(const rec12& r) const {
+    return (uint64_t{r.key_hi} << 32) | r.key_lo;
+  }
+};
+struct rec32_key {
+  uint64_t operator()(const rec32& r) const { return r.key; }
+};
+struct key_second_key {
+  uint64_t operator()(const key_second& r) const { return r.key; }
+};
+
+template <typename Record>
+Record make_rec(uint64_t key, uint64_t tag) {
+  if constexpr (std::is_same_v<Record, rec12>) {
+    return {static_cast<uint32_t>(key), static_cast<uint32_t>(key >> 32),
+            static_cast<uint32_t>(tag)};
+  } else if constexpr (std::is_same_v<Record, rec32>) {
+    return {key, {tag, ~tag, tag * 3}};
+  } else if constexpr (std::is_same_v<Record, key_second>) {
+    return {tag, key};
+  } else {
+    return {key, tag};
   }
 }
 
-TEST(SortingNetworks, EveryDuplicatePatternUpTo5Sorts) {
-  // Exhaustive over a 3-letter alphabet: all 3^n key tuples for n <= 5,
-  // payloads tagged with position so multiset preservation is visible.
-  for (size_t n = 2; n <= 5; ++n) {
-    size_t tuples = 1;
-    for (size_t i = 0; i < n; ++i) tuples *= 3;
-    for (size_t t = 0; t < tuples; ++t) {
-      std::vector<record> in(n);
-      size_t code = t;
-      for (size_t i = 0; i < n; ++i) {
-        in[i] = {code % 3, i};
-        code /= 3;
-      }
-      check_network_sorts(std::move(in));
+template <typename Record, typename GetKey>
+std::vector<Record> stable_reference(std::vector<Record> v, GetKey get_key) {
+  std::stable_sort(v.begin(), v.end(), [&](const Record& a, const Record& b) {
+    return get_key(a) < get_key(b);
+  });
+  return v;
+}
+
+template <typename Record>
+bool same_records(const std::vector<Record>& a, const std::vector<Record>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Record)) == 0;
+}
+
+constexpr size_t kKernelSizes[] = {2,  3,  4,  5,  6,  7,  8,  9,  10, 11,
+                                   12, 13, 14, 15, 16, 17, 95, 96, 1000,
+                                   internal::kMsdStackMax};
+
+// The kernel, called directly so it runs on both tiers, must equal
+// std::stable_sort record for record on every size and key pattern.
+template <typename Record, typename GetKey>
+void check_kernel_matches_stable_sort(uint64_t seed) {
+  rng r(seed);
+  GetKey get_key;
+  for (key_pattern p : kPatterns) {
+    for (size_t n : kKernelSizes) {
+      auto keys = pattern_keys(p, n, r);
+      std::vector<Record> in(n);
+      for (size_t i = 0; i < n; ++i)
+        in[i] = make_rec<Record>(keys[i], i);
+      std::vector<Record> got = in;
+      internal::radix_bucket_sort(std::span<Record>(got), get_key);
+      ASSERT_TRUE(same_records(got, stable_reference(in, get_key)))
+          << "pattern " << static_cast<int>(p) << " n " << n;
     }
   }
 }
 
-TEST(SortingNetworks, RandomAndDuplicateHeavyInputs9To16) {
-  rng r(47);
-  for (size_t n = 9; n <= internal::kNetworkMax; ++n) {
-    for (int rep = 0; rep < 400; ++rep) {
+TEST(RadixKernel, MatchesStableSortOn16ByteRecords) {
+  check_kernel_matches_stable_sort<record, record_key>(47);
+}
+
+TEST(RadixKernel, MatchesStableSortOn12ByteRecords) {
+  check_kernel_matches_stable_sort<rec12, rec12_key>(53);
+}
+
+TEST(RadixKernel, MatchesStableSortOn32ByteRecords) {
+  check_kernel_matches_stable_sort<rec32, rec32_key>(59);
+}
+
+TEST(RadixKernel, MatchesStableSortWhenKeyIsNotFirst) {
+  check_kernel_matches_stable_sort<key_second, key_second_key>(61);
+}
+
+TEST(RadixKernel, RecursionBoundsTheKeyReads) {
+  // On the digit-sharing pattern the first digit splits a full bucket two
+  // ways; without the recursion the insertion pass alone would make about
+  // b²/8 moves. Every level reads each key three times (spread, count,
+  // place), so the whole sort stays far inside 16 reads per record.
+  struct counting_key {
+    size_t calls = 0;
+    uint64_t operator()(const record& rec) {
+      ++calls;
+      return rec.key;
+    }
+  };
+  const size_t n = internal::kMsdStackMax;
+  rng r(67);
+  auto keys = pattern_keys(key_pattern::shared_digit, n, r);
+  std::vector<record> in(n);
+  for (size_t i = 0; i < n; ++i) in[i] = {keys[i], i};
+  std::vector<record> got = in;
+  counting_key get_key;
+  internal::radix_bucket_sort(std::span<record>(got), get_key);
+  EXPECT_LE(get_key.calls, 16 * n);
+  EXPECT_TRUE(same_records(got, stable_reference(in, record_key{})));
+}
+
+TEST(RadixKernel, LocalSortIsStableOnTheAcceleratedTier) {
+  // Through the engine's per-bucket dispatch. On the accelerated tier every
+  // bucket of 2..kMsdStackMax 16-byte records takes the stable kernel; the
+  // forced-scalar tier keeps std::sort, which guarantees key order only.
+  rng r(71);
+  semisort_params params;
+  record_key get_key;
+  for (size_t n = 2; n <= 96; ++n) {
+    for (int trial = 0; trial < 200; ++trial) {
+      auto keys = pattern_keys(key_pattern::alphabet5, n, r);
       std::vector<record> in(n);
-      // Alternate full-width keys with a tiny alphabet (heavy duplicates —
-      // the regime light buckets actually see).
-      uint64_t alphabet = (rep % 2 == 0) ? ~uint64_t{0} : 3;
-      for (size_t i = 0; i < n; ++i)
-        in[i] = {alphabet == 3 ? r.next_below(3) : r.next(), i};
-      check_network_sorts(std::move(in));
+      for (size_t i = 0; i < n; ++i) in[i] = {keys[i], i};
+      std::vector<record> got = in;
+      ASSERT_EQ(internal::sort_bucket(std::span<record>(got), get_key, params),
+                simd::kEnabled);
+      auto expect = stable_reference(in, get_key);
+      if constexpr (simd::kEnabled) {
+        ASSERT_TRUE(same_records(got, expect)) << "n " << n;
+      } else {
+        for (size_t i = 0; i < n; ++i) ASSERT_EQ(got[i].key, expect[i].key);
+        ASSERT_TRUE(testing::records_permutation(got, in));
+      }
     }
   }
 }
@@ -353,7 +379,7 @@ bool valid_width(size_t w) {
 
 TEST(SimdStats, EngineReportsContractualWidths) {
   // Exponential(1000): heavy keys AND many small light buckets, so the
-  // network local sort engages on every path, the CAS probe prescan and
+  // radix local-sort kernel engages on every path, the CAS probe prescan and
   // pack on the CAS path, and the copy back on the in-place exact path.
   // The output must still be a correct semisort (the kernels change
   // schedules, never results), and every reported width must be one of
