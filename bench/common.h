@@ -287,8 +287,6 @@ class bench_json {
       // Execution-model telemetry: a non-zero fallback count means the run
       // was silently serialized (foreign caller, no pool routing).
       field("sequential_fallbacks", static_cast<size_t>(s.sequential_fallbacks));
-      field("job_steals", static_cast<size_t>(s.job_steals));
-      field("job_queue_wait_ns", static_cast<size_t>(s.job_queue_wait_ns));
       row probe;
       if (s.scatter_path_used == scatter_path::cas) {
         probe.field("max_probe", s.max_probe);
@@ -332,17 +330,12 @@ class bench_json {
       plan_obj.field("memory_budget", s.plan.memory_budget);
       plan_obj.field("pool_workers", s.plan.pool_workers);
       field_object("plan", plan_obj);
-      // Per-phase SIMD engagement (width contract in core/params.h) plus
-      // the build's compile-time tier, so a sidecar records which kernels
-      // the binary could and did run. Always emitted — the forced-scalar
-      // baseline is distinguishable by width_bits == 64.
+      // The build's compile-time tier, so a sidecar records which loop
+      // shapes the binary ran. Always emitted — the forced-scalar baseline
+      // is distinguishable by width_bits == 64.
       row simd_obj;
       simd_obj.field("width_bits", simd::kWidthBits);
       simd_obj.field("isa", std::string(simd::isa_name()));
-      simd_obj.field("hash", s.simd_hash_width);
-      simd_obj.field("scatter", s.simd_scatter_width);
-      simd_obj.field("local_sort", s.simd_local_sort_width);
-      simd_obj.field("pack", s.simd_pack_width);
       field_object("simd", simd_obj);
       return *this;
     }

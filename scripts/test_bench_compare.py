@@ -135,85 +135,6 @@ class CheckRowValidity(unittest.TestCase):
         self.assertTrue(ok)
 
 
-def make_throughput_row(dist="uniform", submitters=1, checksum="deadbeef",
-                        checksum_ok="yes", key_runs=42, fallbacks=0):
-    return {
-        "distribution": dist,
-        "submitters": submitters,
-        "jobs": submitters * 3,
-        "time_s": 0.5,
-        "checksum": checksum,
-        "checksum_ok": checksum_ok,
-        "key_runs": key_runs,
-        "sequential_fallbacks": fallbacks,
-        "job_steals": 17,
-    }
-
-
-def make_throughput_doc(dists=("uniform", "zipf"), ladder=(1, 2, 4)):
-    rows = [make_throughput_row(dist=d, submitters=s)
-            for d in dists for s in ladder]
-    return {"bench": "throughput_concurrent", "rows": rows}
-
-
-class CheckThroughput(unittest.TestCase):
-    """check() dispatches on doc["bench"]: throughput sidecars get the
-    concurrent-correctness gate (reference checksums, zero fallbacks)."""
-
-    def test_agreeing_ladder_passes(self):
-        ok, _ = run_check(make_throughput_doc())
-        self.assertTrue(ok)
-
-    def test_dispatch_goes_to_throughput_check(self):
-        # A throughput doc has none of the scatter-path keys; if dispatch
-        # regressed to the scatter check this would fail on missing keys.
-        doc = make_throughput_doc(dists=("uniform",), ladder=(1,))
-        ok, err = run_check(doc)
-        self.assertTrue(ok, err)
-
-    def test_checksum_not_ok_fails(self):
-        doc = make_throughput_doc(dists=("uniform",))
-        doc["rows"][1]["checksum_ok"] = "no"
-        ok, err = run_check(doc)
-        self.assertFalse(ok)
-        self.assertIn("sequential reference", err)
-
-    def test_nonzero_fallbacks_fail(self):
-        doc = make_throughput_doc(dists=("uniform",))
-        doc["rows"][0]["sequential_fallbacks"] = 3
-        ok, err = run_check(doc)
-        self.assertFalse(ok)
-        self.assertIn("fallback", err)
-
-    def test_checksum_drift_across_ladder_fails(self):
-        doc = make_throughput_doc(dists=("uniform",))
-        doc["rows"][-1]["checksum"] = "0badf00d"
-        ok, err = run_check(doc)
-        self.assertFalse(ok)
-        self.assertIn("checksum", err)
-
-    def test_key_runs_drift_fails(self):
-        doc = make_throughput_doc(dists=("uniform",))
-        doc["rows"][-1]["key_runs"] = 7
-        ok, err = run_check(doc)
-        self.assertFalse(ok)
-        self.assertIn("key_runs", err)
-
-    def test_row_missing_key_fails(self):
-        for key in ("distribution", "submitters", "checksum", "checksum_ok",
-                    "key_runs", "sequential_fallbacks"):
-            doc = make_throughput_doc(dists=("uniform",), ladder=(1,))
-            del doc["rows"][0][key]
-            ok, err = run_check(doc)
-            self.assertFalse(ok, key)
-            self.assertIn(key, err)
-
-    def test_empty_throughput_doc_fails(self):
-        ok, err = run_check({"bench": "throughput_concurrent", "rows": []})
-        self.assertFalse(ok)
-        self.assertIn("no rows", err)
-
-
 def make_dispatch_row(dist="uniform", keys="raw", requested="general",
                       used=None, checksum="deadbeef", key_runs=42):
     if used is None:
@@ -482,8 +403,7 @@ BREAKDOWN_PHASE_TIMES = {
 
 
 def make_simd_obj(width=256, isa="avx2"):
-    return {"width_bits": width, "isa": isa, "hash": width, "scatter": width,
-            "local_sort": width, "pack": width}
+    return {"width_bits": width, "isa": isa}
 
 
 def make_breakdown_row(dist="uniform", n=10000000, mode="par", threads=None,
@@ -504,17 +424,17 @@ def make_breakdown_row(dist="uniform", n=10000000, mode="par", threads=None,
 
 
 def make_breakdown_doc(bench="table2_breakdown", dists=("uniform",),
-                       scale=1.0, hot_scale=1.0, simd=None):
-    """Both modes per distribution; hot_scale additionally multiplies the
-    hot phases (scatter / local sort / pack) so tests can build a baseline
-    the candidate beats (hot_scale > 1) or loses to (hot_scale < 1)."""
+                       scale=1.0, gated_scale=1.0, simd=None):
+    """Both modes per distribution; gated_scale additionally multiplies the
+    gated phase (local sort) so tests can build a baseline the candidate
+    beats (gated_scale > 1) or loses to (gated_scale < 1)."""
     rows = []
     for d in dists:
         for mode in ("seq", "par"):
             mode_scale = scale * (3.0 if mode == "seq" else 1.0)
             phases = {
                 p: t * mode_scale *
-                   (hot_scale if p in bench_compare.BREAKDOWN_HOT_PHASES
+                   (gated_scale if p == bench_compare.BREAKDOWN_GATED_PHASE
                     else 1.0)
                 for p, t in BREAKDOWN_PHASE_TIMES.items()
             }
@@ -533,7 +453,7 @@ def run_breakdown_check(doc, **kwargs):
 class CheckBreakdown(unittest.TestCase):
     """check() dispatches on doc["bench"]: breakdown sidecars get the
     structural phase/simd{} validation, and — with a baseline — the
-    per-phase perf gate (no regression, hot-phase wins)."""
+    per-phase perf gate (no regression, local sort wins)."""
 
     def test_well_formed_doc_passes(self):
         ok, err = run_breakdown_check(make_breakdown_doc())
@@ -612,15 +532,6 @@ class CheckBreakdown(unittest.TestCase):
         ok, err = run_breakdown_check(doc)
         self.assertTrue(ok, err)
 
-    def test_zero_phase_width_passes(self):
-        # 0 = "this input never ran an accelerated kernel" (e.g. the
-        # blocked scatter path) — valid per the width contract.
-        simd = make_simd_obj()
-        simd["scatter"] = 0
-        doc = make_breakdown_doc(simd=simd)
-        ok, err = run_breakdown_check(doc)
-        self.assertTrue(ok, err)
-
     def test_unknown_tier_width_fails(self):
         doc = make_breakdown_doc(simd=make_simd_obj(width=32))
         ok, err = run_breakdown_check(doc)
@@ -633,41 +544,32 @@ class CheckBreakdown(unittest.TestCase):
         self.assertFalse(ok)
         self.assertIn("isa", err)
 
-    def test_invalid_phase_width_fails(self):
-        simd = make_simd_obj()
-        simd["local_sort"] = 42
-        ok, err = run_breakdown_check(make_breakdown_doc(simd=simd))
-        self.assertFalse(ok)
-        self.assertIn("local_sort", err)
+    def test_sidecar_without_per_phase_widths_passes(self):
+        # The sidecar's simd{} carries the build's tier only.
+        doc = make_breakdown_doc()
+        self.assertEqual(set(doc["rows"][0]["simd"]), {"width_bits", "isa"})
+        ok, err = run_breakdown_check(doc)
+        self.assertTrue(ok, err)
 
-    def test_phase_width_exceeding_build_width_fails(self):
-        # A 64-bit (scalar) build reporting a 256-bit scatter kernel is a
-        # stats-plumbing bug, not a wider machine.
-        simd = make_simd_obj(width=64, isa="scalar")
-        simd["scatter"] = 256
-        ok, err = run_breakdown_check(make_breakdown_doc(simd=simd))
-        self.assertFalse(ok)
-        self.assertIn("exceeds", err)
-
-    def test_gate_passes_when_hot_phases_win(self):
+    def test_gate_passes_when_local_sort_wins(self):
         cand = make_breakdown_doc()
-        base = make_breakdown_doc(hot_scale=1.3,
+        base = make_breakdown_doc(gated_scale=1.3,
                                   simd=make_simd_obj(width=64, isa="scalar"))
         ok, err = run_breakdown_check(cand, baseline=base)
         self.assertTrue(ok, err)
 
-    def test_gate_fails_without_enough_wins(self):
-        # Identical timings: zero strict wins < require_wins.
+    def test_gate_fails_when_local_sort_ties(self):
+        # Identical timings: local sort is not strictly faster.
         ok, err = run_breakdown_check(make_breakdown_doc(),
                                       baseline=make_breakdown_doc())
         self.assertFalse(ok)
-        self.assertIn("hot phases", err)
+        self.assertIn("local sort", err)
 
     def test_gate_fails_on_phase_regression(self):
-        # Hot phases win, but "sample and sort" got 20% slower — the SIMD
+        # Local sort wins, but "sample and sort" got 20% slower — the SIMD
         # build must not rob one phase to pay another.
         cand = make_breakdown_doc()
-        base = make_breakdown_doc(hot_scale=1.3)
+        base = make_breakdown_doc(gated_scale=1.3)
         for row in cand["rows"]:
             row["phase_sample and sort_s"] *= 1.2
             row["total_s"] = sum(v for k, v in row.items()
@@ -678,7 +580,7 @@ class CheckBreakdown(unittest.TestCase):
 
     def test_gate_tolerates_small_regressions(self):
         cand = make_breakdown_doc()
-        base = make_breakdown_doc(hot_scale=1.3)
+        base = make_breakdown_doc(gated_scale=1.3)
         for row in cand["rows"]:
             row["phase_sample and sort_s"] *= 1.03  # under the 5% default
             row["total_s"] = sum(v for k, v in row.items()
@@ -690,7 +592,7 @@ class CheckBreakdown(unittest.TestCase):
         # A 10x regression on a phase whose baseline is below min_phase_s
         # is timer noise, not a finding.
         cand = make_breakdown_doc()
-        base = make_breakdown_doc(hot_scale=1.3)
+        base = make_breakdown_doc(gated_scale=1.3)
         for row in base["rows"]:
             row["phase_construct buckets_s"] = 0.001
             row["total_s"] = sum(v for k, v in row.items()
@@ -704,14 +606,14 @@ class CheckBreakdown(unittest.TestCase):
 
     def test_gate_fails_on_disjoint_row_sets(self):
         cand = make_breakdown_doc(dists=("uniform",))
-        base = make_breakdown_doc(dists=("zipf",), hot_scale=1.3)
+        base = make_breakdown_doc(dists=("zipf",), gated_scale=1.3)
         ok, err = run_breakdown_check(cand, baseline=base)
         self.assertFalse(ok)
         self.assertIn("nothing to gate on", err)
 
     def test_gate_fails_on_differing_phase_sets(self):
         cand = make_breakdown_doc()
-        base = make_breakdown_doc(hot_scale=1.3)
+        base = make_breakdown_doc(gated_scale=1.3)
         for row in base["rows"]:
             t = row.pop("phase_pack_s")
             row["phase_unpack_s"] = t
@@ -723,7 +625,7 @@ class CheckBreakdown(unittest.TestCase):
         # seq rows regress badly, but the gate reads par rows only (the
         # configuration the paper's tables measure).
         cand = make_breakdown_doc()
-        base = make_breakdown_doc(hot_scale=1.3)
+        base = make_breakdown_doc(gated_scale=1.3)
         for row in cand["rows"]:
             if row["mode"] == "seq":
                 for k in list(row):
@@ -737,22 +639,36 @@ class CheckBreakdown(unittest.TestCase):
     def test_structural_failure_blocks_the_gate(self):
         cand = make_breakdown_doc()
         del cand["rows"][0]["simd"]
-        base = make_breakdown_doc(hot_scale=1.3)
+        base = make_breakdown_doc(gated_scale=1.3)
         ok, err = run_breakdown_check(cand, baseline=base)
         self.assertFalse(ok)
 
-    def test_require_wins_is_tunable(self):
-        # Only scatter wins; require_wins=1 passes, the default 2 fails.
+    def test_scatter_and_pack_wins_do_not_stand_in_for_local_sort(self):
+        # Scatter and pack win, local sort ties: the gate names its phase
+        # instead of counting wins, so this fails.
         cand = make_breakdown_doc()
         base = make_breakdown_doc()
         for row in base["rows"]:
-            row["phase_scatter_s"] *= 1.04
+            row["phase_scatter_s"] *= 1.3
+            row["phase_pack_s"] *= 1.3
             row["total_s"] = sum(v for k, v in row.items()
                                  if k.startswith("phase_"))
-        ok, err = run_breakdown_check(cand, baseline=base, require_wins=1)
-        self.assertTrue(ok, err)
         ok, err = run_breakdown_check(cand, baseline=base)
         self.assertFalse(ok)
+        self.assertIn("local sort", err)
+
+    def test_gate_fails_when_local_sort_is_too_short_to_time(self):
+        # A baseline local sort below min_phase_s cannot show a win.
+        cand = make_breakdown_doc()
+        base = make_breakdown_doc(gated_scale=1.3)
+        for doc, t in ((base, 0.004), (cand, 0.002)):
+            for row in doc["rows"]:
+                row["phase_local sort_s"] = t
+                row["total_s"] = sum(v for k, v in row.items()
+                                     if k.startswith("phase_"))
+        ok, err = run_breakdown_check(cand, baseline=base)
+        self.assertFalse(ok)
+        self.assertIn("too short", err)
 
 
 def make_plan_obj(reused=0, probe_passes=1, probe_records=1000,
@@ -918,20 +834,20 @@ class CliJsonStrictness(unittest.TestCase):
     def test_baseline_flag_reaches_the_breakdown_gate(self):
         with tempfile.NamedTemporaryFile("w", suffix=".json",
                                          delete=False) as f:
-            f.write(json.dumps(make_breakdown_doc()))  # ties: zero wins
+            f.write(json.dumps(make_breakdown_doc()))  # local sort ties
             base_path = f.name
         try:
             res = self.run_cli(json.dumps(make_breakdown_doc()),
                                "--baseline", base_path)
             self.assertEqual(res.returncode, 1, res.stderr)
-            self.assertIn("hot phases", res.stderr)
+            self.assertIn("local sort", res.stderr)
         finally:
             os.unlink(base_path)
 
     def test_breakdown_gate_passes_over_a_slower_baseline(self):
         with tempfile.NamedTemporaryFile("w", suffix=".json",
                                          delete=False) as f:
-            f.write(json.dumps(make_breakdown_doc(hot_scale=1.3)))
+            f.write(json.dumps(make_breakdown_doc(gated_scale=1.3)))
             base_path = f.name
         try:
             res = self.run_cli(json.dumps(make_breakdown_doc()),

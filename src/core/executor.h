@@ -67,10 +67,9 @@ class context_binding {
       base_ = ctx_->scratch.mark();
       ctx_->scratch.reset_high_water();
       alloc_snap_ = ctx_->scratch.alloc_count();
-      // Snapshot the thread's fallback counter / job accounting so
-      // finalize() can attribute this call's share to its stats.
+      // Snapshot the thread's fallback counter so finalize() can
+      // attribute this call's share to its stats.
       fallback_snap_ = tl_sequential_fallbacks;
-      acct_ = tl_job_acct;
     }
   }
 
@@ -93,17 +92,12 @@ class context_binding {
       stats->arena_allocs = ctx_->scratch.alloc_count() - alloc_snap_;
       stats->scratch_capacity_bytes = ctx_->scratch.capacity_bytes();
       stats->sequential_fallbacks = tl_sequential_fallbacks - fallback_snap_;
-      if (acct_ != nullptr) {
-        stats->job_steals = acct_->steals.load(std::memory_order_relaxed);
-        stats->job_queue_wait_ns = acct_->queue_wait_ns;
-      }
     }
   }
 
  private:
   std::optional<pipeline_context> local_;
   pipeline_context* ctx_ = nullptr;
-  job_accounting* acct_ = nullptr;
   arena::checkpoint base_;
   size_t alloc_snap_ = 0;
   uint64_t fallback_snap_ = 0;
@@ -232,12 +226,10 @@ bucket_plan sample_and_build_buckets(std::span<const Record> in,
 }
 
 // The stats both paths fill the same way. `total_slots` / `heavy_slots`
-// describe the layout the scatter wrote into; `kernel_used` is the local
-// sort's accelerated-kernel flag.
+// describe the layout the scatter wrote into.
 inline void publish_run_stats(semisort_stats& st, size_t n, size_t sample_size,
                               const bucket_plan& plan, size_t total_slots,
-                              size_t heavy_slots, scatter_path path,
-                              const std::atomic<bool>& kernel_used) {
+                              size_t heavy_slots, scatter_path path) {
   st.n = n;
   st.sample_size = sample_size;
   st.num_heavy_keys = plan.num_heavy;
@@ -245,12 +237,6 @@ inline void publish_run_stats(semisort_stats& st, size_t n, size_t sample_size,
   st.total_slots = total_slots;
   st.heavy_slots = heavy_slots;
   st.scatter_path_used = path;
-  // Per-phase SIMD engagement (width contract documented in params.h:
-  // 256/128 vector tier, 64 scalar tier, 0 no accelerated kernel on the
-  // path this run took).
-  st.simd_hash_width = sample_size > 0 ? simd::kWidthBits : 0;
-  st.simd_local_sort_width =
-      kernel_used.load(std::memory_order_relaxed) ? simd::kWidthBits : 0;
 }
 
 // The general path: exact-count distribution (core/scatter.h). One pass,
@@ -279,10 +265,8 @@ void semisort_exact(std::span<const Record> in, std::span<Record> out,
   if (pt != nullptr) pt->record("scatter");
 
   // Phase 4 — local sort, in place on each light bucket's range.
-  std::atomic<bool> kernel_used{false};
   local_sort_exact_buckets(dest, start.subspan(plan.num_heavy), get_key,
-                           params,
-                           params.stats != nullptr ? &kernel_used : nullptr);
+                           params);
   if (pt != nullptr) pt->record("local sort");
 
   if (params.stats != nullptr) {
@@ -291,13 +275,10 @@ void semisort_exact(std::span<const Record> in, std::span<Record> out,
     // count is where the light buckets start.
     size_t heavy = start[plan.num_heavy];
     publish_run_stats(st, n, sample_size, plan, n, heavy,
-                      scatter_path::blocked, kernel_used);
+                      scatter_path::blocked);
     st.heavy_records = heavy;
     st.probe_hist = {};
     st.max_probe = 0;
-    st.simd_scatter_width = 0;
-    st.simd_pack_width =
-        aliased && std::is_trivially_copyable_v<Record> ? simd::kWidthBits : 0;
   }
 
   if (aliased) {
@@ -340,9 +321,7 @@ bool semisort_attempt(std::span<const Record> in, std::span<Record> out,
   // Phase 4 — compact and local sort.
   std::span<size_t> light_counts(ctx.scratch.alloc<size_t>(plan.num_light),
                                  plan.num_light);
-  std::atomic<bool> kernel_used{false};
-  local_sort_light_buckets(storage, plan, get_key, params, light_counts,
-                           params.stats != nullptr ? &kernel_used : nullptr);
+  local_sort_light_buckets(storage, plan, get_key, params, light_counts);
   if (pt != nullptr) pt->record("local sort");
 
   // Stats are gathered before the pack so that `out` may alias `in`
@@ -351,7 +330,7 @@ bool semisort_attempt(std::span<const Record> in, std::span<Record> out,
   if (params.stats != nullptr) {
     semisort_stats& st = *params.stats;
     publish_run_stats(st, n, sample_size, plan, plan.total_slots,
-                      plan.heavy_slots_end, scatter_path::cas, kernel_used);
+                      plan.heavy_slots_end, scatter_path::cas);
     size_t blocks = internal::scan_num_blocks(n);
     std::span<size_t> sums(ctx.scratch.alloc<size_t>(blocks), blocks);
     st.heavy_records =
@@ -366,13 +345,6 @@ bool semisort_attempt(std::span<const Record> in, std::span<Record> out,
     for (size_t b = 0; b < semisort_stats::kProbeBins; ++b)
       st.probe_hist[b] = probe.bins[b].load(std::memory_order_relaxed);
     st.max_probe = probe.max.load(std::memory_order_relaxed);
-    st.simd_scatter_width = 0;
-    if (scatter_storage<Record>::kKeyCas)
-      st.simd_scatter_width = (simd::kEnabled && !simd::kTsan)
-                                  ? simd::probe_width<sizeof(Record)>()
-                                  : 64;
-    st.simd_pack_width =
-        std::is_trivially_copyable_v<Record> ? simd::kWidthBits : 0;
     if (pt != nullptr) pt->record("stats");
   }
 

@@ -8,8 +8,8 @@
 //     laid every bucket out contiguously, so each light bucket is sorted in
 //     place on its own range of the destination.
 //   * local_sort_light_buckets — the CAS reference path. Each light bucket
-//     is first compacted in place (occupied slots move to the bucket's
-//     start, preserving order), then sorted.
+//     is first compacted in place by a two-pointer sweep (occupied slots
+//     move to the bucket's start, preserving order), then sorted.
 //
 // Two per-bucket algorithms:
 //   * std_sort — the paper's final choice (§4): sort by hashed key.
@@ -36,15 +36,9 @@
 // kMsdStackMax records, at most 11 · 16 + 128 = 304 KiB — so the kernel
 // never touches the heap or an arena. Bigger buckets, other records and
 // the forced-scalar tier keep std::sort, the reference.
-// The CAS path's compaction is accelerated too: bucket occupancy lives in
-// the slots' key words, so the leading dense run is measured 4 slots per
-// step (simd::occupied_prefix_len) and the rest compacts branchlessly;
-// non-trivially-copyable records and the forced-scalar tier keep the
-// two-pointer sweep.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -221,37 +215,26 @@ void counting_sort_by_naming(std::span<Record> bucket, GetKey& get_key) {
 }
 
 // Semisorts one light bucket in place with the configured algorithm.
-// Returns true when the radix kernel ran.
 template <typename Record, typename GetKey>
-bool sort_bucket(std::span<Record> bucket, GetKey& get_key,
+void sort_bucket(std::span<Record> bucket, GetKey& get_key,
                  const semisort_params& params) {
   if (params.local_sort ==
       semisort_params::local_sort_algo::counting_by_naming) {
     counting_sort_by_naming(bucket, get_key);
-    return false;
+    return;
   }
   const size_t count = bucket.size();
-  if (count < 2) return false;
+  if (count < 2) return;
   if constexpr (radix_sortable<Record> && simd::kEnabled) {
     if (count <= kMsdStackMax) {
       radix_bucket_sort(bucket, get_key);
-      return true;
+      return;
     }
   }
   std::sort(bucket.begin(), bucket.end(),
             [&](const Record& a, const Record& b) {
               return get_key(a) < get_key(b);
             });
-  return false;
-}
-
-// Relaxed flag, set at most a handful of times: it only answers "did any
-// bucket engage an accelerated kernel", read after the join.
-inline void note_kernel(std::atomic<bool>* kernel_used, bool engaged) {
-  if (engaged && kernel_used != nullptr &&
-      !kernel_used->load(std::memory_order_relaxed)) {
-    kernel_used->store(true, std::memory_order_relaxed);
-  }
 }
 
 }  // namespace internal
@@ -259,22 +242,17 @@ inline void note_kernel(std::atomic<bool>* kernel_used, bool engaged) {
 // Semisorts every light bucket of an exact layout in place: light bucket j
 // is dest[light_start[j], light_start[j + 1]) (the tail of the layout
 // core/scatter.h's scatter_exact returns, from the first light bucket on).
-// Heavy buckets hold one key each and are already grouped. `kernel_used`
-// (optional) is set when at least one bucket engaged an accelerated kernel
-// — it feeds semisort_stats::simd_local_sort_width.
+// Heavy buckets hold one key each and are already grouped.
 template <typename Record, typename GetKey>
 void local_sort_exact_buckets(std::span<Record> dest,
                               std::span<const size_t> light_start,
-                              GetKey get_key, const semisort_params& params,
-                              std::atomic<bool>* kernel_used = nullptr) {
+                              GetKey get_key, const semisort_params& params) {
   parallel_for(
       0, light_start.size() - 1,
       [&](size_t j) {
         size_t lo = light_start[j];
-        internal::note_kernel(
-            kernel_used,
-            internal::sort_bucket(dest.subspan(lo, light_start[j + 1] - lo),
-                                  get_key, params));
+        internal::sort_bucket(dest.subspan(lo, light_start[j + 1] - lo),
+                              get_key, params);
       },
       1);
 }
@@ -282,55 +260,29 @@ void local_sort_exact_buckets(std::span<Record> dest,
 // CAS path: compacts and semisorts every light bucket; light_counts[j] (a
 // span of plan.num_light elements, typically arena-allocated by the
 // attempt loop) receives the number of records in light bucket j after
-// compaction. `kernel_used` (optional) is set when at least one bucket
-// engaged an accelerated kernel (prefix-scan compaction or the radix
-// kernel).
+// compaction.
 template <typename Record, typename GetKey>
 void local_sort_light_buckets(scatter_storage<Record>& storage,
                               const bucket_plan& plan, GetKey get_key,
                               const semisort_params& params,
-                              std::span<size_t> light_counts,
-                              std::atomic<bool>* kernel_used = nullptr) {
+                              std::span<size_t> light_counts) {
   parallel_for(
       0, plan.num_light,
       [&](size_t j) {
         size_t lo = plan.bucket_offset[plan.num_heavy + j];
         size_t hi = plan.bucket_offset[plan.num_heavy + j + 1];
         size_t w = lo;
-        bool engaged = false;
-        if constexpr (std::is_trivially_copyable_v<Record> &&
-                      scatter_storage<Record>::kKeyCas && simd::kEnabled) {
-          // Occupancy lives in the slots' key words (sentinel = hole), so
-          // the leading dense run is measured by the match_key4 lane
-          // extraction — 4 slots per step instead of a per-slot branch.
-          w = lo + simd::occupied_prefix_len<sizeof(Record)>(
-                       storage.slots.data() + lo, hi - lo, storage.sentinel);
-          engaged = true;
-          // From the first hole on, compact branchlessly — copy
-          // unconditionally, advance the write index by the occupancy bit,
-          // so the scan never mispredicts. Safe: w ≤ r throughout, and
-          // slots between the compacted prefix and `hi` are never read
-          // again (pack copies only the prefix). Trivially-copyable only:
-          // unoccupied slots hold uninitialized payload bytes, which a raw
-          // copy may move but a user-defined assignment must not see.
-          for (size_t r = w; r < hi; ++r) {
-            storage.slots[w] = storage.slots[r];
-            w += storage.occupied(r) ? 1 : 0;
-          }
-        } else {
-          // Order-preserving two-pointer sweep.
-          for (size_t r = lo; r < hi; ++r) {
-            if (storage.occupied(r)) {
-              if (w != r) storage.slots[w] = storage.slots[r];
-              ++w;
-            }
+        // Order-preserving two-pointer sweep.
+        for (size_t r = lo; r < hi; ++r) {
+          if (storage.occupied(r)) {
+            if (w != r) storage.slots[w] = storage.slots[r];
+            ++w;
           }
         }
         light_counts[j] = w - lo;
-        engaged |= internal::sort_bucket(
+        internal::sort_bucket(
             std::span<Record>(storage.slots.data() + lo, w - lo), get_key,
             params);
-        internal::note_kernel(kernel_used, engaged);
       },
       1);
 }

@@ -1,11 +1,12 @@
 // Phase 5 — packing (§4 Phase 5; step 8 of Alg. 1).
 //
 // Heavy region: the slot array up to heavy_slots_end is cut into ~1000
-// intervals; each interval is compacted in place sequentially (intervals in
-// parallel), a sequential prefix sum over the interval counts fixes each
-// interval's position in the output, and the compacted intervals are copied
-// out in parallel. Order of surviving slots is preserved, and since every
-// heavy bucket is a contiguous slot range, its records stay contiguous.
+// intervals; each interval is compacted in place by a sequential
+// two-pointer sweep (intervals in parallel), a sequential prefix sum over
+// the interval counts fixes each interval's position in the output, and
+// the compacted intervals are copied out in parallel. Order of surviving
+// slots is preserved, and since every heavy bucket is a contiguous slot
+// range, its records stay contiguous.
 //
 // Light region: Phase 4 already compacted each light bucket to its start,
 // so a scan over the per-bucket counts and a parallel copy finish the job.
@@ -17,7 +18,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cstring>
 #include <span>
 
 #include "core/bucket_plan.h"
@@ -54,39 +54,10 @@ size_t pack_output(scatter_storage<Record>& storage, const bucket_plan& plan,
         [&](size_t t) {
           size_t lo = interval_start[t], hi = interval_start[t + 1];
           size_t w = lo;
-          if constexpr (std::is_trivially_copyable_v<Record> &&
-                        scatter_storage<Record>::kKeyCas && simd::kEnabled) {
-            // Run-based compaction: run boundaries are found 4 slots per
-            // step by the sentinel-scan kernels and each occupied run
-            // moves with one memmove — the leading dense prefix (w == r)
-            // moves nothing at all. The CAS path's random holes make
-            // the runs short (still correct, the scans simply alternate
-            // faster). w ≤ r
-            // throughout; only the compacted prefix is copied out below,
-            // so the stale tail is never read.
-            size_t r = lo;
-            while (r < hi) {
-              size_t occ = simd::occupied_prefix_len<sizeof(Record)>(
-                  storage.slots.data() + r, hi - r, storage.sentinel);
-              if (w != r && occ > 0) {
-                // Runs may overlap their destination (w < r): memmove, not
-                // the pack copy kernel's memcpy.
-                std::memmove(
-                    static_cast<void*>(storage.slots.data() + w),
-                    static_cast<const void*>(storage.slots.data() + r),
-                    occ * sizeof(Record));
-              }
-              w += occ;
-              r += occ;
-              r += simd::hole_prefix_len<sizeof(Record)>(
-                  storage.slots.data() + r, hi - r, storage.sentinel);
-            }
-          } else {
-            for (size_t r = lo; r < hi; ++r) {
-              if (storage.occupied(r)) {
-                if (w != r) storage.slots[w] = storage.slots[r];
-                ++w;
-              }
+          for (size_t r = lo; r < hi; ++r) {
+            if (storage.occupied(r)) {
+              if (w != r) storage.slots[w] = storage.slots[r];
+              ++w;
             }
           }
           interval_count[t] = w - lo;

@@ -101,15 +101,9 @@ struct semisort_stats {
   // --- execution-model telemetry (scheduler/scheduler.h) ---
   // fork_joins this call ran sequentially because the executing thread was
   // foreign to a multi-worker pool — the old silent fallback, now counted.
-  // Zero whenever the call runs inside its pool (pool member, params.pool
-  // routing, or a job_gateway submission).
+  // Zero whenever the call runs inside its pool (pool member,
+  // params.pool routing, or worker_pool::run).
   uint64_t sequential_fallbacks = 0;
-  // When the call ran inside an externally submitted job (job_gateway /
-  // worker_pool::run): steals of that job's subtasks observed so far, and
-  // how long the job waited in the intake queue before starting. Zero for
-  // plain calls on a pool member thread.
-  uint64_t job_steals = 0;
-  uint64_t job_queue_wait_ns = 0;
 
   // --- scatter engine telemetry (successful attempt only) ---
   // Which Phase 3 path the run executed (adaptive selection or override).
@@ -155,17 +149,6 @@ struct semisort_stats {
 
   // --- the execution plan this call ran under (core/exec_plan.h) ---
   plan_summary plan;
-
-  // --- per-phase SIMD engagement (util/simd.h) ---
-  // Width in bits the phase's accelerated kernel ran at: 256/128 ⇒ a vector
-  // tier engaged, 64 ⇒ the scalar reference tier ran (forced-scalar build,
-  // non-x86, TSan, or a record stride without a vector kernel), 0 ⇒ the
-  // path taken by this run has no accelerated kernel in that phase (e.g.
-  // blocked scatter, flag-array CAS, non-trivially-copyable records).
-  size_t simd_hash_width = 0;        // batched sample-position + key hashing
-  size_t simd_scatter_width = 0;     // CAS probe prescan
-  size_t simd_local_sort_width = 0;  // radix kernel on light buckets
-  size_t simd_pack_width = 0;        // widened record-run copies
 
   double heavy_fraction() const {
     return n == 0 ? 0.0 : static_cast<double>(heavy_records) / static_cast<double>(n);

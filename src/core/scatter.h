@@ -49,7 +49,6 @@
 #include "scheduler/scheduler.h"
 #include "util/env.h"
 #include "util/rng.h"
-#include "util/simd.h"
 
 namespace parsemi {
 
@@ -240,43 +239,6 @@ scatter_result scatter_records(std::span<const Record> in,
         if (storage.try_claim(off + r.next_below(cap), rec)) {
           if (probe != nullptr) probe->note(t);
           return;
-        }
-      }
-      overflow.store(true, std::memory_order_relaxed);
-    } else if constexpr (scatter_storage<Record>::kKeyCas && simd::kEnabled &&
-                         !simd::kTsan) {
-      // §4's linear probing, prescanned 4 slots per step: compare 4 key
-      // words against the empty sentinel (one vector compare for 16-byte
-      // records, 4 independent scalar loads otherwise) and CAS only lanes
-      // that looked empty, first hit by ctz. The prescan is advisory — a
-      // stale lane just fails its CAS and the scan moves on — and slots
-      // never revert to empty, so skipping non-sentinel lanes is safe.
-      // (try_claim's CAS remains the sole authority; TSan builds keep the
-      // plain-load prescan compiled out so the race checker stays precise.)
-      size_t pos = base.ith_below(i, cap);
-      size_t t = 0;
-      while (t < cap) {
-        if (pos + 4 <= cap) {
-          unsigned mask = simd::match_key4<sizeof(Record)>(
-              &storage.slots[off + pos], storage.sentinel);
-          while (mask != 0) {
-            unsigned lane = static_cast<unsigned>(std::countr_zero(mask));
-            if (storage.try_claim(off + pos + lane, rec)) {
-              if (probe != nullptr) probe->note(t + lane);
-              return;
-            }
-            mask &= mask - 1;
-          }
-          t += 4;
-          pos += 4;
-          if (pos == cap) pos = 0;
-        } else {
-          if (storage.try_claim(off + pos, rec)) {
-            if (probe != nullptr) probe->note(t);
-            return;
-          }
-          ++t;
-          if (++pos == cap) pos = 0;
         }
       }
       overflow.store(true, std::memory_order_relaxed);

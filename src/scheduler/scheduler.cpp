@@ -161,9 +161,6 @@ internal::job* worker_pool::try_steal(int thief_id) {
     internal::job* j = deques_[static_cast<size_t>(victim)].steal();
     if (j != nullptr) {
       steals_.fetch_add(1, std::memory_order_relaxed);
-      if (j->acct != nullptr) {
-        j->acct->steals.fetch_add(1, std::memory_order_relaxed);
-      }
       return j;
     }
   }

@@ -16,10 +16,10 @@
 //   * `parallel_for` built on binary fork-join splitting with automatic
 //     granularity,
 //   * an external intake queue per pool: foreign threads hand whole jobs to
-//     the pool via `submit_external`/`run` (the job_gateway front-end builds
-//     on this), and idle workers drain the intake between steals. This is
-//     how N concurrent callers share one pool with real parallelism each —
-//     the Blumofe–Leiserson bound holds per admitted job.
+//     the pool via `run`, and idle workers drain the intake between steals.
+//     This is how N concurrent callers share one pool with real
+//     parallelism each — the Blumofe–Leiserson bound holds per admitted
+//     job.
 //
 // The default pool's worker count comes from PARSEMI_NUM_THREADS (default:
 // hardware concurrency) and can be changed between parallel regions with
@@ -35,7 +35,7 @@
 // parallelism — so it is now *counted* (per pool and per thread, surfaced
 // as `semisort_stats::sequential_fallbacks`). Callers that want real
 // parallelism from a foreign thread route the call through
-// `worker_pool::run`, `semisort_params::pool`, or a `job_gateway`.
+// `worker_pool::run` or `semisort_params::pool`.
 #pragma once
 
 #include <algorithm>
@@ -67,17 +67,6 @@ struct pool_binding {
   int id = -1;
 };
 inline thread_local pool_binding tl_binding;
-
-// Per-job accounting for externally submitted jobs: how often the job's
-// subtasks were stolen and how long the job sat in the intake queue. The
-// pointer is inherited down the fork tree (fork_join copies it into every
-// right child), so steals land on the submission that spawned the work no
-// matter which worker executes it.
-struct job_accounting {
-  std::atomic<uint64_t> steals{0};
-  uint64_t queue_wait_ns = 0;  // written by the worker that dequeued the job
-};
-inline thread_local job_accounting* tl_job_acct = nullptr;
 
 // Depth of nested parallel regions on this thread (fork_join bodies and
 // executing jobs). Guards set_num_workers: resizing a pool from inside a
@@ -113,10 +102,6 @@ struct job_completion {
     std::unique_lock<std::mutex> lock(m);
     cv.wait(lock, [this] { return ready; });
   }
-  void reset() {
-    std::lock_guard<std::mutex> lock(m);
-    ready = false;
-  }
 
   std::mutex m;
   std::condition_variable cv;
@@ -138,8 +123,6 @@ struct job {
     // schedule fuzzing stays keyed to task identity, not to the thread
     // that happened to pop or steal the job.
     sched_fuzz::task_scope fuzz(fuzz_path);
-    job_accounting* saved_acct = tl_job_acct;
-    if (acct != nullptr) tl_job_acct = acct;
     ++tl_parallel_depth;
     try {
       run();
@@ -147,7 +130,6 @@ struct job {
       error = std::current_exception();
     }
     --tl_parallel_depth;
-    tl_job_acct = saved_acct;
     // A forker's join loop may unwind this job's stack frame the instant
     // `done` is visible, so read everything we still need first.
     job_completion* signal = to_signal;
@@ -159,7 +141,6 @@ struct job {
   std::atomic<bool> done{false};
   std::exception_ptr error;     // written before `done` is released
   uint64_t fuzz_path = 0;       // fork-tree identity under PARSEMI_SCHED_FUZZ
-  job_accounting* acct = nullptr;  // per-submission steal attribution
   job_completion* to_signal = nullptr;  // external jobs: wakes the submitter
   job* next_intake = nullptr;   // intrusive link in the pool's intake FIFO
 };
@@ -179,8 +160,8 @@ struct lambda_job final : job {
 class worker_pool {
  public:
   // A standalone pool with `p` spawned workers (ids 0..p-1). The
-  // constructing thread is NOT a member: it submits work via `run`,
-  // `submit_external`, a `job_gateway`, or `semisort_params::pool`.
+  // constructing thread is NOT a member: it submits work via `run` or
+  // `semisort_params::pool`.
   explicit worker_pool(int p);
 
   ~worker_pool();
@@ -228,12 +209,6 @@ class worker_pool {
   // jobs are still queued; blocks until already-running jobs finish.
   void set_num_workers(int p);
 
-  // Enqueues a caller-owned job for execution by the pool's workers. The
-  // job must stay alive until it reports done (set `to_signal` and wait on
-  // it, as `run` does). Degenerate single-worker pools with no spawned
-  // threads execute the job inline on the calling thread.
-  void submit_external(internal::job* j);
-
   // Runs `fn` on this pool and waits for it: members run inline; foreign
   // threads ship the closure through the intake queue so it executes with
   // full pool parallelism. Exceptions propagate to the caller.
@@ -271,7 +246,6 @@ class worker_pool {
     sched_fuzz::fork_scope fuzz;
     internal::lambda_job<R> right_job(std::forward<R>(right));
     right_job.fuzz_path = fuzz.right_path();
-    right_job.acct = internal::tl_job_acct;
     deques_[static_cast<size_t>(id)].push(&right_job);
     wake_sleepers();
     fuzz.after_push();
@@ -309,6 +283,12 @@ class worker_pool {
   void start_workers(int p);
   void stop_workers();
   void worker_loop(int id);
+
+  // Enqueues a caller-owned job for execution by the pool's workers. The
+  // job must stay alive until it reports done (`run` waits on its
+  // `to_signal`). Degenerate single-worker pools with no spawned threads
+  // execute the job inline on the calling thread.
+  void submit_external(internal::job* j);
 
   // One round of victim selection; nullptr if nothing was found.
   internal::job* try_steal(int thief_id);

@@ -68,8 +68,6 @@ inline void accumulate_shard_stats(semisort_stats& agg,
   agg.restarts += s.restarts;
   agg.arena_allocs += s.arena_allocs;
   agg.sequential_fallbacks += s.sequential_fallbacks;
-  agg.job_steals += s.job_steals;
-  agg.job_queue_wait_ns += s.job_queue_wait_ns;
   for (size_t b = 0; b < semisort_stats::kProbeBins; ++b)
     agg.probe_hist[b] += s.probe_hist[b];
   agg.max_probe = std::max(agg.max_probe, s.max_probe);
@@ -79,13 +77,6 @@ inline void accumulate_shard_stats(semisort_stats& agg,
   agg.dispatch_path_used = s.dispatch_path_used;
   agg.key_domain_width = s.key_domain_width;
   agg.counting_passes = s.counting_passes;
-  // Per-phase SIMD engagement: max — "widest kernel any shard ran".
-  agg.simd_hash_width = std::max(agg.simd_hash_width, s.simd_hash_width);
-  agg.simd_scatter_width =
-      std::max(agg.simd_scatter_width, s.simd_scatter_width);
-  agg.simd_local_sort_width =
-      std::max(agg.simd_local_sort_width, s.simd_local_sort_width);
-  agg.simd_pack_width = std::max(agg.simd_pack_width, s.simd_pack_width);
 }
 
 template <typename Record, typename GetKey>

@@ -17,7 +17,6 @@
 #include "core/group_by.h"
 #include "core/pipeline_context.h"
 #include "core/semisort.h"
-#include "scheduler/job_gateway.h"
 #include "scheduler/scheduler.h"
 #include "test_helpers.h"
 #include "util/timer.h"
@@ -365,36 +364,36 @@ TEST(AllocRegression, CountByKeyOffsetsAllocatesOnlyTheResult) {
   EXPECT_LE(delta, 4u) << delta << " heap allocations for one count_by_key";
 }
 
-TEST(AllocRegression, WarmGatewayResubmissionMakesZeroHeapAllocations) {
-  // The gateway's admission path is slot recycling over a preallocated
-  // table and the closure is placement-new'd into the slot, so once the
-  // pool, the gateway, and the pipeline_context are warm, a full
-  // submit → execute → wait → release round trip allocates nothing.
+TEST(AllocRegression, WarmForeignPoolCallsMakeZeroHeapAllocations) {
+  // A foreign caller's params.pool call ships the pipeline through
+  // worker_pool::run, whose job and completion signal live on the
+  // caller's stack, so once the pool and the pipeline_context are warm, a
+  // full submit → execute → wait round trip allocates nothing.
   size_t n = 100000;
   auto in = generate_records(n, {distribution_kind::exponential, 1000}, 11);
   std::vector<record> out(n);
 
   worker_pool pool(4);
-  job_gateway gateway(pool);
+  ASSERT_FALSE(pool.contains_current_thread());
   pipeline_context ctx;
+  semisort_stats stats;
   semisort_params params;
   params.context = &ctx;
+  params.stats = &stats;
+  params.pool = &pool;
 
-  auto round_trip = [&] {
-    job_handle h = gateway.submit([pin = &in, pout = &out, pparams = &params] {
-      semisort_hashed(std::span<const record>(*pin), std::span<record>(*pout),
-                      record_key{}, *pparams);
-    });
-    h.wait();
-    h.release();
+  auto call = [&] {
+    semisort_hashed(std::span<const record>(in), std::span<record>(out),
+                    record_key{}, params);
   };
-  for (int round = 0; round < 3; ++round) round_trip();  // warm everything
+  for (int round = 0; round < 3; ++round) call();  // warm everything
 
   size_t before = heap_allocs();
-  for (int round = 0; round < 3; ++round) round_trip();
+  for (int round = 0; round < 3; ++round) call();
   size_t leaked = heap_allocs() - before;
   EXPECT_EQ(leaked, 0u)
-      << leaked << " heap allocations on warm gateway submissions";
+      << leaked << " heap allocations on warm foreign params.pool calls";
+  EXPECT_EQ(stats.sequential_fallbacks, 0u);
   EXPECT_TRUE(testing::valid_semisort(out, in));
 }
 

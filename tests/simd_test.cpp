@@ -1,15 +1,12 @@
 // Differential tests for the SIMD abstraction (util/simd.h) and the
-// local-sort radix kernel (core/local_sort.h): every dispatched entry point
-// must be bit-exact with its scalar reference in simd::scalar:: over
-// property-generated inputs, the radix kernel must equal std::stable_sort
-// record for record on every bucket shape, and the end-to-end engine must
-// report per-phase widths that honor the stats contract in core/params.h.
+// local-sort radix kernel (core/local_sort.h): the record copy must equal
+// an element loop, and the radix kernel must equal std::stable_sort record
+// for record on every bucket shape.
 #include "util/simd.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -17,147 +14,12 @@
 #include <vector>
 
 #include "core/local_sort.h"
-#include "core/semisort.h"
 #include "test_helpers.h"
 #include "util/rng.h"
-#include "workloads/distributions.h"
+#include "workloads/record.h"
 
 namespace parsemi {
 namespace {
-
-// ------------------------------------------------------------- match_key4
-
-// Fill a synthetic slot array (stride bytes per record, key in the leading
-// qword) with random keys, planting `needle` according to `plant_mask`.
-template <size_t Stride>
-std::vector<unsigned char> make_slots(rng& r, uint64_t needle,
-                                      unsigned plant_mask) {
-  std::vector<unsigned char> bytes(4 * Stride);
-  for (unsigned lane = 0; lane < 4; ++lane) {
-    uint64_t k = (plant_mask >> lane) & 1u ? needle : r.next();
-    if (k == needle && !((plant_mask >> lane) & 1u)) k ^= 1;  // no accidents
-    std::memcpy(bytes.data() + lane * Stride, &k, sizeof(k));
-    // Payload bytes are noise the kernel must ignore.
-    for (size_t b = sizeof(k); b < Stride; ++b)
-      bytes[lane * Stride + b] = static_cast<unsigned char>(r.next());
-  }
-  return bytes;
-}
-
-template <size_t Stride>
-void check_match_key4_all_masks() {
-  rng r(Stride * 7919);
-  const uint64_t needle = r.next();
-  for (unsigned mask = 0; mask < 16; ++mask) {
-    for (int rep = 0; rep < 64; ++rep) {
-      auto slots = make_slots<Stride>(r, needle, mask);
-      unsigned scalar_m =
-          simd::scalar::match_key4(slots.data(), Stride, needle);
-      unsigned dispatched_m = simd::match_key4<Stride>(slots.data(), needle);
-      ASSERT_EQ(scalar_m, mask);
-      ASSERT_EQ(dispatched_m, scalar_m)
-          << "stride " << Stride << " mask " << mask;
-    }
-  }
-}
-
-TEST(SimdMatchKey4, Stride16DispatchedEqualsScalarOnEveryMask) {
-  // 16 bytes = the key-CAS record layouts — the stride with a vector form.
-  check_match_key4_all_masks<16>();
-}
-
-TEST(SimdMatchKey4, OtherStridesDispatchedEqualsScalar) {
-  check_match_key4_all_masks<8>();
-  check_match_key4_all_masks<24>();
-  check_match_key4_all_masks<32>();
-}
-
-TEST(SimdMatchKey4, RandomInputsAgree) {
-  rng r(11);
-  for (int rep = 0; rep < 2000; ++rep) {
-    std::array<uint64_t, 8> words;
-    // Tiny alphabet so needle collisions with arbitrary lane subsets occur.
-    for (auto& w : words) w = r.next_below(4);
-    uint64_t needle = r.next_below(4);
-    ASSERT_EQ(simd::match_key4<16>(words.data(), needle),
-              simd::scalar::match_key4(words.data(), 16, needle));
-  }
-}
-
-TEST(SimdMatchKey4, ProbeWidthFollowsTheTier) {
-  // The stats contract: vector prescan only exists for 16-byte records;
-  // everything else reports the 64-bit scalar tier.
-  static_assert(simd::probe_width<16>() ==
-                (simd::kEnabled ? simd::kWidthBits : 64));
-  static_assert(simd::probe_width<24>() == 64);
-  static_assert(simd::probe_width<8>() == 64);
-}
-
-// -------------------------------------------------- occupied_prefix_len
-
-TEST(SimdOccupiedPrefix, ExhaustiveHolePositions) {
-  // Records of 16 bytes; the first hole (sentinel key) walks every
-  // position so every vector lane and the scalar tail are exercised.
-  constexpr uint64_t sentinel = 0xDEADBEEFCAFEF00Dull;
-  rng r(41);
-  for (size_t count = 0; count <= 40; ++count) {
-    for (size_t hole = 0; hole <= count; ++hole) {
-      std::vector<record> slots(count);
-      for (size_t i = 0; i < count; ++i) {
-        uint64_t k = r.next();
-        if (k == sentinel) k ^= 1;
-        slots[i] = {i < hole ? k : sentinel, r.next()};
-      }
-      size_t expect = simd::scalar::occupied_prefix_len(
-          slots.data(), sizeof(record), count, sentinel);
-      ASSERT_EQ(expect, hole) << "count " << count;
-      ASSERT_EQ(simd::occupied_prefix_len<sizeof(record)>(slots.data(), count,
-                                                          sentinel),
-                expect)
-          << "count " << count << " hole " << hole;
-    }
-  }
-  EXPECT_EQ(simd::occupied_prefix_len<16>(nullptr, 0, sentinel), 0u);
-}
-
-TEST(SimdHolePrefix, ExhaustiveRunEndPositions) {
-  // The dual scan: a leading run of sentinels ending at every position.
-  constexpr uint64_t sentinel = 0xDEADBEEFCAFEF00Dull;
-  rng r(59);
-  for (size_t count = 0; count <= 40; ++count) {
-    for (size_t holes = 0; holes <= count; ++holes) {
-      std::vector<record> slots(count);
-      for (size_t i = 0; i < count; ++i) {
-        uint64_t k = r.next();
-        if (k == sentinel) k ^= 1;
-        slots[i] = {i < holes ? sentinel : k, r.next()};
-      }
-      size_t expect = simd::scalar::hole_prefix_len(
-          slots.data(), sizeof(record), count, sentinel);
-      ASSERT_EQ(expect, holes) << "count " << count;
-      ASSERT_EQ(simd::hole_prefix_len<sizeof(record)>(slots.data(), count,
-                                                      sentinel),
-                expect)
-          << "count " << count << " holes " << holes;
-    }
-  }
-  EXPECT_EQ(simd::hole_prefix_len<16>(nullptr, 0, sentinel), 0u);
-}
-
-TEST(SimdOccupiedPrefix, RandomOccupancyAgrees) {
-  constexpr uint64_t sentinel = 7u;
-  rng r(43);
-  for (int rep = 0; rep < 1000; ++rep) {
-    size_t count = r.next_below(50);
-    std::vector<record> slots(count);
-    // Dense-ish occupancy so prefixes of every length occur.
-    for (auto& s : slots) s = {r.next_below(8), r.next()};
-    ASSERT_EQ(simd::occupied_prefix_len<sizeof(record)>(slots.data(), count,
-                                                        sentinel),
-              simd::scalar::occupied_prefix_len(slots.data(), sizeof(record),
-                                                count, sentinel));
-  }
-}
 
 // ------------------------------------------------------------ copy_records
 
@@ -349,8 +211,11 @@ TEST(RadixKernel, LocalSortIsStableOnTheAcceleratedTier) {
   // Through the engine's per-bucket dispatch. On the accelerated tier every
   // bucket of 2..kMsdStackMax 16-byte records takes the stable kernel; the
   // forced-scalar tier keeps std::sort, which guarantees key order only.
+  static_assert(internal::radix_sortable<record>);
+  static_assert(96 <= internal::kMsdStackMax);
   rng r(71);
   semisort_params params;
+  ASSERT_EQ(params.local_sort, semisort_params::local_sort_algo::std_sort);
   record_key get_key;
   for (size_t n = 2; n <= 96; ++n) {
     for (int trial = 0; trial < 200; ++trial) {
@@ -358,8 +223,7 @@ TEST(RadixKernel, LocalSortIsStableOnTheAcceleratedTier) {
       std::vector<record> in(n);
       for (size_t i = 0; i < n; ++i) in[i] = {keys[i], i};
       std::vector<record> got = in;
-      ASSERT_EQ(internal::sort_bucket(std::span<record>(got), get_key, params),
-                simd::kEnabled);
+      internal::sort_bucket(std::span<record>(got), get_key, params);
       auto expect = stable_reference(in, get_key);
       if constexpr (simd::kEnabled) {
         ASSERT_TRUE(same_records(got, expect)) << "n " << n;
@@ -368,55 +232,6 @@ TEST(RadixKernel, LocalSortIsStableOnTheAcceleratedTier) {
         ASSERT_TRUE(testing::records_permutation(got, in));
       }
     }
-  }
-}
-
-// --------------------------------------------------- end-to-end width stats
-
-bool valid_width(size_t w) {
-  return w == 0 || w == 64 || w == 128 || w == 256;
-}
-
-TEST(SimdStats, EngineReportsContractualWidths) {
-  // Exponential(1000): heavy keys AND many small light buckets, so the
-  // radix local-sort kernel engages on every path, the CAS probe prescan and
-  // pack on the CAS path, and the copy back on the in-place exact path.
-  // The output must still be a correct semisort (the kernels change
-  // schedules, never results), and every reported width must be one of
-  // {0, 64, 128, 256}, bounded by the build's width.
-  const size_t n = 200000;
-  auto in = generate_records(n, {distribution_kind::exponential, 1000}, 17);
-  auto check_widths = [](const semisort_stats& stats) {
-    for (size_t w : {stats.simd_hash_width, stats.simd_scatter_width,
-                     stats.simd_local_sort_width, stats.simd_pack_width}) {
-      EXPECT_TRUE(valid_width(w)) << w;
-      EXPECT_LE(w, simd::kWidthBits);
-    }
-    // The sampler always hashes.
-    EXPECT_EQ(stats.simd_hash_width, simd::kWidthBits);
-  };
-  for (auto path : {semisort_params::scatter_strategy::cas,
-                    semisort_params::scatter_strategy::blocked}) {
-    std::vector<record> out(n);
-    semisort_params params;
-    params.scatter_with = path;
-    semisort_stats stats;
-    params.stats = &stats;
-    semisort_hashed(std::span<const record>(in), std::span<record>(out),
-                    record_key{}, params);
-    EXPECT_TRUE(testing::records_semisorted(std::span<const record>(out)));
-    EXPECT_TRUE(testing::records_permutation(out, in));
-    check_widths(stats);
-    // The records are trivially copyable, so the CAS pack reports the
-    // build's tier; the out-of-place exact path has no pack at all.
-    bool cas = path == semisort_params::scatter_strategy::cas;
-    EXPECT_EQ(stats.simd_pack_width, cas ? simd::kWidthBits : 0u);
-
-    std::vector<record> data = in;
-    semisort_hashed_inplace(std::span<record>(data), record_key{}, params);
-    EXPECT_TRUE(testing::records_semisorted(std::span<const record>(data)));
-    check_widths(stats);
-    EXPECT_EQ(stats.simd_pack_width, simd::kWidthBits);
   }
 }
 

@@ -453,7 +453,7 @@ void check_parallel_captures(file_ctx& fc) {
 // `scheduler::get()` / `worker_pool::get()` is the compatibility shim for
 // the pre-pool singleton spelling. Code outside src/scheduler/ that calls
 // it hard-wires the process-wide default pool, which defeats pool routing
-// (params.pool, job_gateway) and reintroduces the global the refactor
+// (params.pool, worker_pool::run) and reintroduces the global the refactor
 // removed — take a `worker_pool&` or call `default_pool()` instead. The
 // scheduler's own sources (and the shim's definition) are exempt.
 void check_global_scheduler(file_ctx& fc) {
