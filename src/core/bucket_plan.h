@@ -2,7 +2,9 @@
 //
 // From the *sorted* sample this builds the complete routing structure:
 //   * heavy keys (≥ δ sample hits) each get their own bucket and an entry
-//     in a phase-concurrent hash table T: hashed key → bucket id;
+//     in a read-only two-choice table T: hashed key → bucket id (built
+//     sequentially here, then only read, so a lookup needs no atomics and
+//     no data-dependent branch);
 //   * the hash space is partitioned into 2^16 equal ranges; adjacent ranges
 //     are merged until each light bucket covers ≥ δ sample hits (the §4
 //     estimation-accuracy optimization), and a 2^16-entry map range → light
@@ -20,25 +22,36 @@
 // allocation once the arena is warm.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <optional>
 #include <span>
+#include <utility>
 
 #include "core/estimator.h"
 #include "core/params.h"
 #include "core/pipeline_context.h"
-#include "hashing/phase_concurrent_hash_table.h"
+#include "hashing/hash64.h"
 #include "primitives/pack.h"
 #include "scheduler/scheduler.h"
 
 namespace parsemi {
 
+// One slot of the heavy routing table: a heavy key and its bucket id + 1.
+// An id field of 0 marks the slot empty, so a lookup that matches an empty
+// slot's key (0) still reads "not heavy" — no key value is reserved.
+struct heavy_slot {
+  uint64_t key;
+  uint64_t id_plus_one;
+};
+
 struct bucket_plan {
-  // Heavy routing: hashed key → heavy bucket id (buckets 0..num_heavy).
-  // Arena-backed; std::optional only because the table is built after the
-  // heavy count is known (it is always engaged once build returns).
-  std::optional<phase_concurrent_hash_table<uint32_t>> heavy_table;
+  // Heavy routing: a two-choice table, hashed key → heavy bucket id
+  // (buckets 0..num_heavy). Key k lives in one of its two
+  // heavy_candidates(k, heavy_seed, size) slots, so bucket_of reads both
+  // and selects by mask. Empty when num_heavy == 0.
+  std::span<heavy_slot> heavy_table;
+  uint64_t heavy_seed = 0;
   size_t num_heavy = 0;
 
   // Light routing: key >> range_shift → range; range → light bucket id
@@ -60,15 +73,60 @@ struct bucket_plan {
     return bucket_offset[b + 1] - bucket_offset[b];
   }
 
-  // Bucket id for a hashed key (valid once heavy_table's insert phase is
-  // over, i.e. any time after build_bucket_plan returns).
+  // Key's two candidate slots in a table of `size` (≤ 2^32) slots: the two
+  // 32-bit halves of a seeded murmur_mix64, each scaled to the size by a
+  // multiply-shift, so the size need not be a power of two.
+  static std::pair<size_t, size_t> heavy_candidates(uint64_t key,
+                                                    uint64_t seed,
+                                                    size_t size) {
+    uint64_t h = murmur_mix64(key ^ seed);
+    return {((h & 0xffffffffu) * size) >> 32, ((h >> 32) * size) >> 32};
+  }
+
+  // Size of the first table built for num_heavy keys: 44 % load, under the
+  // two-choice table's 50 % threshold.
+  static size_t heavy_table_size(size_t num_heavy) {
+    return num_heavy * 9 / 4 + 2;
+  }
+
+  // Bucket id for a hashed key: the range map's light bucket unless one of
+  // the key's two slots holds it. Two slot loads and mask selects, with no
+  // branch on the key; a plan without heavy keys reads the range map only.
   size_t bucket_of(uint64_t key) const {
-    if (num_heavy > 0) {
-      if (auto h = heavy_table->find(key)) return *h;
-    }
-    return num_heavy + range_to_light_bucket[key >> range_shift];
+    size_t light = num_heavy + range_to_light_bucket[key >> range_shift];
+    if (num_heavy == 0) return light;
+    auto [i, j] = heavy_candidates(key, heavy_seed, heavy_table.size());
+    const heavy_slot& a = heavy_table[i];
+    const heavy_slot& b = heavy_table[j];
+    uint64_t id = (a.id_plus_one & -static_cast<uint64_t>(a.key == key)) |
+                  (b.id_plus_one & -static_cast<uint64_t>(b.key == key));
+    uint64_t heavy = -static_cast<uint64_t>(id != 0);
+    return ((id - 1) & heavy) | (light & ~heavy);
   }
 };
+
+namespace internal {
+
+// Cuckoo insertion of {key, id + 1} into a two-choice table of `size`
+// slots: a full slot hands its key on to that key's other slot. False when
+// the displacement chain runs past kMaxKicks, leaving the table partly
+// rewritten.
+inline bool insert_heavy_slot(heavy_slot* slots, size_t size, uint64_t seed,
+                              uint64_t key, uint64_t id) {
+  constexpr size_t kMaxKicks = 64;
+  heavy_slot cur{key, id + 1};
+  size_t from = ~size_t{0};
+  for (size_t kick = 0; kick <= kMaxKicks; ++kick) {
+    auto [p1, p2] = bucket_plan::heavy_candidates(cur.key, seed, size);
+    if (slots[p1].id_plus_one == 0) return slots[p1] = cur, true;
+    if (slots[p2].id_plus_one == 0) return slots[p2] = cur, true;
+    from = from == p1 ? p2 : p1;
+    std::swap(cur, slots[from]);
+  }
+  return false;
+}
+
+}  // namespace internal
 
 // Builds the plan from the sorted sample. `alpha` is passed explicitly so
 // the Las-Vegas retry loop can inflate capacities after an overflow. All
@@ -116,22 +174,42 @@ inline bucket_plan build_bucket_plan(std::span<const uint64_t> sorted_sample,
     }
   }
 
-  // Heavy buckets: one per heavy key, α·f(count) slots, entry in T.
+  // Heavy buckets: one per heavy key, α·f(count) slots.
   // bucket_offset's worst case is one bucket per heavy key plus one light
   // bucket per range, plus the closing boundary.
   size_t offset_cap = plan.num_heavy + num_ranges + 1;
   size_t* offsets = scratch.alloc<size_t>(offset_cap);
   size_t num_offsets = 0;
   offsets[num_offsets++] = 0;
-  plan.heavy_table.emplace(std::max<size_t>(1, plan.num_heavy), scratch);
   for (size_t h = 0; h < plan.num_heavy; ++h) {
-    auto [key, count] = heavy_keys[h];
-    plan.heavy_table->insert(key, static_cast<uint32_t>(h));
+    size_t count = heavy_keys[h].count;
     offsets[num_offsets] =
         offsets[num_offsets - 1] + bucket_capacity(count, n, params, alpha);
     num_offsets++;
   }
   plan.heavy_slots_end = offsets[num_offsets - 1];
+
+  // T, built sequentially under seed 0; a displacement chain that runs out
+  // rebuilds it at double the size under the next seed.
+  if (plan.num_heavy > 0) {
+    size_t cap = bucket_plan::heavy_table_size(plan.num_heavy);
+    for (uint64_t seed = 0;; seed += 0x9e3779b97f4a7c15ULL, cap *= 2) {
+      arena::checkpoint before = scratch.mark();
+      heavy_slot* slots = scratch.alloc<heavy_slot>(cap);
+      std::fill(slots, slots + cap, heavy_slot{0, 0});
+      size_t h = 0;
+      while (h < plan.num_heavy &&
+             internal::insert_heavy_slot(slots, cap, seed,
+                                         heavy_keys[h].key, h))
+        ++h;
+      if (h == plan.num_heavy) {
+        plan.heavy_table = std::span<heavy_slot>(slots, cap);
+        plan.heavy_seed = seed;
+        break;
+      }
+      scratch.rewind(before);
+    }
+  }
 
   // Light buckets: merge adjacent ranges until each bucket saw ≥ δ samples
   // (if enabled); a trailing under-full group is folded into its

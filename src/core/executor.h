@@ -339,7 +339,7 @@ bool semisort_attempt(std::span<const Record> in, std::span<Record> out,
             : reduce_index<size_t>(
                   n,
                   [&](size_t i) -> size_t {
-                    return plan.heavy_table->contains(get_key(in[i])) ? 1 : 0;
+                    return plan.bucket_of(get_key(in[i])) < plan.num_heavy;
                   },
                   0, sums);
     for (size_t b = 0; b < semisort_stats::kProbeBins; ++b)

@@ -267,7 +267,9 @@ scatter_result scatter_records(std::span<const Record> in,
 // one distribute_stable pass (primitives/counting_sort.h) by bucket id —
 // zero atomics, and a deterministic, stable layout (input order preserved
 // within each bucket) at every worker count. `plan` supplies the routing
-// only; its α·f(s) capacities belong to the CAS path. Returns the layout
+// only; its α·f(s) capacities belong to the CAS path. A plan with heavy
+// keys classifies each record once: the kernel keeps the count pass's ids
+// for the place pass (below 65,535 buckets). Returns the layout
 // (num_buckets() + 1 entries from ctx's arena): bucket b is
 // dest[start[b], start[b+1]), so start[plan.num_heavy] is the heavy-record
 // count and start.back() is n.
@@ -283,7 +285,8 @@ std::span<size_t> scatter_exact(std::span<const Record> in,
       [src, routing, get_key](size_t i) {
         return routing->bucket_of(get_key(src[i]));
       },
-      [src, dst](size_t i, size_t pos) { dst[pos] = src[i]; }, ctx.scratch);
+      [src, dst](size_t i, size_t pos) { dst[pos] = src[i]; }, ctx.scratch,
+      /*store_ids=*/plan.num_heavy > 0);
 }
 
 // --- path selection --------------------------------------------------------

@@ -35,38 +35,6 @@ inline constexpr uint64_t hash64_seeded(uint64_t x, uint64_t seed) {
   return splitmix64(x ^ (0x9e3779b97f4a7c15ULL * seed + seed));
 }
 
-// Batch hashes: 4 keys per round through the interleaved mixer
-// (splitmix64_x4) so the multiply latency of one chain hides behind the
-// other three. Bit-exact with the one-at-a-time forms — out[k] ==
-// hash64(in[k]) — so callers (sampler, tag spine, partition pass) can
-// switch freely. Under PARSEMI_SIMD=OFF these degrade to the plain loop,
-// giving the perf gate its pre-vectorization baseline.
-inline constexpr void hash64_batch(const uint64_t* in, uint64_t* out,
-                                   size_t count) {
-#if !defined(PARSEMI_SIMD_OFF)
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4)
-    splitmix64_x4(in[i], in[i + 1], in[i + 2], in[i + 3], out + i);
-  for (; i < count; ++i) out[i] = hash64(in[i]);
-#else
-  for (size_t i = 0; i < count; ++i) out[i] = hash64(in[i]);
-#endif
-}
-
-inline constexpr void hash64_seeded_batch(const uint64_t* in, uint64_t* out,
-                                          size_t count, uint64_t seed) {
-  const uint64_t salt = 0x9e3779b97f4a7c15ULL * seed + seed;
-#if !defined(PARSEMI_SIMD_OFF)
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4)
-    splitmix64_x4(in[i] ^ salt, in[i + 1] ^ salt, in[i + 2] ^ salt,
-                  in[i + 3] ^ salt, out + i);
-  for (; i < count; ++i) out[i] = splitmix64(in[i] ^ salt);
-#else
-  for (size_t i = 0; i < count; ++i) out[i] = splitmix64(in[i] ^ salt);
-#endif
-}
-
 // Word-wise byte hash, finalized with murmur_mix64 — the "arbitrary key
 // type" entry point (e.g. strings in the word-count example). Processes 8
 // bytes per multiply (FNV-style fold over words instead of bytes, ~8×

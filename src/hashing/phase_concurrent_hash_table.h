@@ -1,13 +1,13 @@
 // Phase-concurrent linear-probing hash table (Shun & Blelloch, SPAA'14
-// style), the substrate for
-//   * the heavy-key table T (hashed key → heavy bucket index, §3 step 5),
-//   * the naming problem inside light buckets (§3 step 7c variant).
+// style), the substrate for the naming problem inside light buckets (§3
+// step 7c variant). The heavy-key table T is not one of these: it is built
+// on one thread, so the bucket plan keeps its own read-only two-choice
+// table (core/bucket_plan.h).
 //
 // "Phase-concurrent" means operations of the same kind may run concurrently,
 // but insert and find phases must be separated by a barrier (in parsemi a
-// parallel_for join is such a barrier). This is exactly the discipline the
-// semisort needs — build T in Phase 2, only look it up in Phase 3 — and it
-// lets finds run with zero atomics.
+// parallel_for join is such a barrier), which lets finds run with zero
+// atomics.
 //
 // Keys are 64-bit; one key value is reserved as the empty sentinel and is
 // handled via a dedicated side slot so the table is correct for *all* 2^64
@@ -15,12 +15,7 @@
 // CAS winner of a slot, so they need no atomics (the phase barrier
 // publishes them).
 //
-// Storage is plain arrays accessed through std::atomic_ref, so the backing
-// memory can either be owned (heap) or borrowed from an arena
-// (core/arena.h) — the semisort's bucket plan uses the arena form, which
-// makes table construction allocation-free in steady state. The borrowed
-// memory must outlive the table (the pipeline's checkpoint discipline
-// guarantees it).
+// Storage is plain owned arrays accessed through std::atomic_ref.
 #pragma once
 
 #include <atomic>
@@ -30,10 +25,7 @@
 #include <cstdlib>
 #include <memory>
 #include <optional>
-#include <type_traits>
-#include <utility>
 
-#include "core/arena.h"
 #include "hashing/hash64.h"
 
 namespace parsemi {
@@ -51,54 +43,6 @@ class phase_concurrent_hash_table {
     keys_ = owned_keys_.get();
     values_ = owned_values_.get();
     clear_keys(cap);
-  }
-
-  // Arena-backed variant: storage borrowed from `scratch`, no heap traffic.
-  // Valid until the caller's checkpoint is rewound.
-  phase_concurrent_hash_table(size_t expected, arena& scratch) {
-    static_assert(std::is_trivially_default_constructible_v<Value> &&
-                      std::is_trivially_destructible_v<Value>,
-                  "arena-backed table requires a trivial Value");
-    size_t cap = capacity_for(expected);
-    keys_ = scratch.alloc<uint64_t>(cap);
-    values_ = scratch.alloc<Value>(cap);
-    clear_keys(cap);
-  }
-
-  phase_concurrent_hash_table(phase_concurrent_hash_table&& other) noexcept
-      : mask_(other.mask_),
-        keys_(other.keys_),
-        values_(other.values_),
-        owned_keys_(std::move(other.owned_keys_)),
-        owned_values_(std::move(other.owned_values_)),
-        sentinel_value_(other.sentinel_value_) {
-    // Atomics are not movable; the sentinel flag is quiescent between
-    // phases, which is the only time a table may be moved.
-    sentinel_present_.store(
-        other.sentinel_present_.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    other.keys_ = nullptr;
-    other.values_ = nullptr;
-    other.mask_ = 0;
-  }
-
-  phase_concurrent_hash_table& operator=(
-      phase_concurrent_hash_table&& other) noexcept {
-    if (this != &other) {
-      mask_ = other.mask_;
-      keys_ = other.keys_;
-      values_ = other.values_;
-      owned_keys_ = std::move(other.owned_keys_);
-      owned_values_ = std::move(other.owned_values_);
-      sentinel_value_ = other.sentinel_value_;
-      sentinel_present_.store(
-          other.sentinel_present_.load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-      other.keys_ = nullptr;
-      other.values_ = nullptr;
-      other.mask_ = 0;
-    }
-    return *this;
   }
 
   size_t capacity() const { return mask_ + 1; }
@@ -212,7 +156,7 @@ class phase_concurrent_hash_table {
   }
 
   size_t mask_ = 0;
-  uint64_t* keys_ = nullptr;   // owned_keys_ or arena memory
+  uint64_t* keys_ = nullptr;   // owned_keys_.get()
   Value* values_ = nullptr;
   std::unique_ptr<uint64_t[]> owned_keys_;
   std::unique_ptr<Value[]> owned_values_;

@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -40,6 +41,13 @@ namespace parsemi {
 // and when that column is non-empty the call returns an empty span before
 // placing anything.
 //
+// With store_ids (honoured only below 65,535 buckets), the count pass
+// keeps each record's clamped id in a 16-bit buffer and the place pass
+// reads it back instead of calling bucket_at again — for a bucket function
+// that costs more than the 2-byte load (core/scatter.h's heavy-key
+// routing). The buffer is the kernel's last scratch allocation, so a warm
+// arena grows by one block for it.
+//
 // bucket_at and place are taken, and captured by the loop bodies, by
 // value, so callers should pass lambdas that capture raw data pointers by
 // value: the place loop then keeps them in registers, where by-reference
@@ -48,16 +56,31 @@ namespace parsemi {
 template <typename BucketAt, typename PlaceFn>
 std::span<size_t> distribute_stable(size_t n, size_t num_buckets,
                                     BucketAt bucket_at, PlaceFn place,
-                                    arena& scratch) {
+                                    arena& scratch, bool store_ids = false) {
   const size_t cols = num_buckets + 1;
   const size_t block = histogram_block_size(n, num_buckets);
   const size_t num_blocks = histogram_num_blocks(n, block);
   size_t* counts = scratch.alloc<size_t>(num_blocks * cols);
-  histogram_blocks(n, block, cols, counts, [bucket_at, num_buckets](size_t i) {
-    return std::min(static_cast<size_t>(bucket_at(i)), num_buckets);
-  });
-
   std::span<size_t> start(scratch.alloc<size_t>(cols), cols);
+  size_t scan_blocks = internal::scan_num_blocks(cols);
+  std::span<size_t> scan_sums(scratch.alloc<size_t>(scan_blocks), scan_blocks);
+  uint16_t* ids = store_ids && num_buckets < 0xffff
+                      ? scratch.alloc<uint16_t>(n)
+                      : nullptr;
+
+  auto clamped = [bucket_at, num_buckets](size_t i) {
+    return std::min(static_cast<size_t>(bucket_at(i)), num_buckets);
+  };
+  if (ids != nullptr) {
+    histogram_blocks(n, block, cols, counts, [clamped, ids](size_t i) {
+      size_t q = clamped(i);
+      ids[i] = static_cast<uint16_t>(q);
+      return q;
+    });
+  } else {
+    histogram_blocks(n, block, cols, counts, clamped);
+  }
+
   parallel_for(0, cols, [counts, num_blocks, cols, start](size_t q) {
     size_t sum = 0;
     for (size_t b = 0; b < num_blocks; ++b) sum += counts[b * cols + q];
@@ -65,19 +88,23 @@ std::span<size_t> distribute_stable(size_t n, size_t num_buckets,
   });
   if (start[num_buckets] != 0) return {};
   // The out-of-range column is empty, so the scan leaves n there.
-  size_t scan_blocks = internal::scan_num_blocks(cols);
-  scan_exclusive_inplace(
-      start, size_t{0},
-      std::span<size_t>(scratch.alloc<size_t>(scan_blocks), scan_blocks));
+  scan_exclusive_inplace(start, size_t{0}, scan_sums);
   parallel_for(0, num_buckets, [counts, num_blocks, cols, start](size_t q) {
     scan_exclusive_strided(counts + q, num_blocks, cols, start[q]);
   });
 
-  parallel_for_blocks(
-      n, block, [counts, cols, bucket_at, place](size_t b, size_t lo, size_t hi) {
-        size_t* cursor = counts + b * cols;
-        for (size_t i = lo; i < hi; ++i) place(i, cursor[bucket_at(i)]++);
-      });
+  auto place_all = [n, block, counts, cols, place](auto id_of) {
+    parallel_for_blocks(
+        n, block, [counts, cols, id_of, place](size_t b, size_t lo, size_t hi) {
+          size_t* cursor = counts + b * cols;
+          for (size_t i = lo; i < hi; ++i) place(i, cursor[id_of(i)]++);
+        });
+  };
+  if (ids != nullptr) {
+    place_all([ids](size_t i) { return static_cast<size_t>(ids[i]); });
+  } else {
+    place_all(bucket_at);
+  }
   return start;
 }
 

@@ -147,6 +147,33 @@ TEST(AllocRegression, BudgetedSingleShardPathStaysZeroAlloc) {
   EXPECT_TRUE(testing::valid_semisort(out, in));
 }
 
+TEST(AllocRegression, WarmExactPathArenaStaysWithinTwiceItsPeak) {
+  // The arena grows by appending blocks, so the order of a call's scratch
+  // allocations decides how much capacity a warm context keeps. The
+  // exact path's largest late allocation is the distribution kernel's
+  // 16-bit id buffer; placed after the kernel's other arrays it costs one
+  // extra block, placed first it strands earlier blocks.
+  size_t n = 4'000'000;
+  auto in = generate_records(n, {distribution_kind::exponential, 1000}, 46);
+  std::vector<record> out(n);
+
+  pipeline_context ctx;
+  semisort_stats stats;
+  semisort_params params;
+  params.context = &ctx;
+  params.stats = &stats;
+  // The first call grows the arena; the second runs on it warm.
+  for (int round = 0; round < 2; ++round) {
+    semisort_hashed(std::span<const record>(in), std::span<record>(out),
+                    record_key{}, params);
+  }
+  ASSERT_EQ(stats.scatter_path_used, scatter_path::blocked);
+  ASSERT_GT(stats.num_heavy_keys, 0u);
+  EXPECT_LE(stats.scratch_capacity_bytes, 2 * stats.peak_scratch_bytes)
+      << "capacity " << stats.scratch_capacity_bytes << " B, peak "
+      << stats.peak_scratch_bytes << " B";
+}
+
 TEST(AllocRegression, PlanReuseStaysZeroAllocAndZeroProbe) {
   // Plan reuse is the zero-warm-alloc contract in its strongest form: the
   // plan is built once up front, every later call skips the probe entirely

@@ -1,14 +1,20 @@
-// Tests for Phase 2 — heavy/light classification and bucket layout.
+// Tests for Phase 2 — heavy/light classification, the heavy routing table
+// and bucket layout.
 #include "core/bucket_plan.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <map>
+#include <utility>
 #include <vector>
 
+#include "core/scatter.h"
 #include "hashing/hash64.h"
 #include "util/rng.h"
+#include "workloads/record.h"
 
 namespace parsemi {
 namespace {
@@ -39,9 +45,9 @@ TEST(BucketPlan, HeavyKeysDetectedAtDelta) {
   auto plan = build_bucket_plan(std::span<const uint64_t>(sample), 1 << 20,
                                 params, params.alpha, test_ctx());
   EXPECT_EQ(plan.num_heavy, 2u);  // counts 16 and 40; 15 is light
-  EXPECT_TRUE(plan.heavy_table->contains(hash64(1)));
-  EXPECT_FALSE(plan.heavy_table->contains(hash64(2)));
-  EXPECT_TRUE(plan.heavy_table->contains(hash64(3)));
+  EXPECT_LT(plan.bucket_of(hash64(1)), plan.num_heavy);
+  EXPECT_GE(plan.bucket_of(hash64(2)), plan.num_heavy);
+  EXPECT_LT(plan.bucket_of(hash64(3)), plan.num_heavy);
 }
 
 TEST(BucketPlan, NoSampleMeansNoHeavyAndOneLightBucketUniverse) {
@@ -140,7 +146,7 @@ TEST(BucketPlan, MergedBucketsMeetDeltaSampleThreshold) {
   // the trailing bucket is folded into its predecessor when under-full).
   std::vector<size_t> bucket_samples(plan.num_light, 0);
   for (uint64_t key : sample) {
-    if (plan.heavy_table->contains(key)) continue;
+    if (plan.bucket_of(key) < plan.num_heavy) continue;
     bucket_samples[plan.range_to_light_bucket[key >> plan.range_shift]]++;
   }
   size_t total = 0;
@@ -172,6 +178,142 @@ TEST(BucketPlan, PowerOfTwoCapacitiesWhenEnabled) {
     size_t cap = plan.bucket_offset[b + 1] - plan.bucket_offset[b];
     ASSERT_EQ(cap & (cap - 1), 0u) << "bucket " << b;
   }
+}
+
+// A plan from `heavy` keys (δ sample hits each) and `light` keys (one hit
+// each), checked key by key: heavy key j of the sorted heavy keys routes to
+// bucket j, and every other key — light or never sampled — to its range's
+// light bucket.
+void expect_routes(const std::vector<uint64_t>& heavy,
+                   const std::vector<uint64_t>& light,
+                   const std::vector<uint64_t>& unseen) {
+  auto params = default_params();
+  std::vector<std::pair<uint64_t, size_t>> runs;
+  for (uint64_t k : heavy) runs.push_back({k, params.delta});
+  for (uint64_t k : light) runs.push_back({k, 1});
+  auto sample = make_sample(runs);
+  auto plan = build_bucket_plan(std::span<const uint64_t>(sample), 1 << 22,
+                                params, params.alpha, test_ctx());
+  ASSERT_EQ(plan.num_heavy, heavy.size());
+  std::vector<uint64_t> sorted_heavy = heavy;
+  std::sort(sorted_heavy.begin(), sorted_heavy.end());
+  for (size_t j = 0; j < sorted_heavy.size(); ++j)
+    ASSERT_EQ(plan.bucket_of(sorted_heavy[j]), j) << "heavy key " << j;
+  for (const auto* keys : {&light, &unseen}) {
+    for (uint64_t k : *keys) {
+      size_t range = k >> plan.range_shift;
+      ASSERT_EQ(plan.bucket_of(k),
+                plan.num_heavy + plan.range_to_light_bucket[range])
+          << "key " << k;
+    }
+  }
+}
+
+TEST(BucketPlanRouting, EveryKeyShapeRoutesToItsOwnBucket) {
+  const std::function<uint64_t(uint64_t)> shapes[] = {
+      [](uint64_t k) { return k; },                // identity
+      [](uint64_t k) { return k << 20; },          // shifted
+      [](uint64_t k) { return hash64(k); }};
+  for (const auto& shape : shapes) {
+    std::vector<uint64_t> heavy, light, unseen;
+    for (uint64_t k = 1; k <= 300; ++k) heavy.push_back(shape(k));
+    for (uint64_t k = 301; k <= 2300; ++k) light.push_back(shape(k));
+    for (uint64_t k = 2301; k <= 3300; ++k) unseen.push_back(shape(k));
+    expect_routes(heavy, light, unseen);
+  }
+}
+
+TEST(BucketPlanRouting, EmptySlotKeyValuesRouteAsHeavyAndAsLight) {
+  // An empty slot is all zeros, and ~0 is the empty key of the
+  // phase-concurrent table: neither value may be mistaken for, or hidden
+  // by, an empty slot.
+  const uint64_t zero = 0, ones = ~uint64_t{0};
+  std::vector<uint64_t> others;
+  for (uint64_t k = 1; k <= 40; ++k) others.push_back(hash64(k));
+  std::vector<uint64_t> heavy = others;
+  heavy.push_back(zero);
+  heavy.push_back(ones);
+  expect_routes(heavy, {hash64(1000), hash64(1001)}, {hash64(1002)});
+  expect_routes(others, {zero, ones}, {});
+  expect_routes(others, {}, {zero, ones});
+  // A lone heavy key leaves the other slot of a 2-slot table empty.
+  expect_routes({zero}, {}, {ones, hash64(5)});
+  expect_routes({ones}, {}, {zero, hash64(5)});
+  // Key 0 is inserted first (the keys go in sorted order); three keys
+  // whose first candidate is its slot come after it and must move on
+  // rather than take the slot.
+  const size_t size = bucket_plan::heavy_table_size(4);
+  std::vector<uint64_t> crowd = {zero};
+  size_t zero_slot = bucket_plan::heavy_candidates(zero, 0, size).first;
+  for (uint64_t k = 1; crowd.size() < 4; ++k)
+    if (bucket_plan::heavy_candidates(k, 0, size).first == zero_slot)
+      crowd.push_back(k);
+  expect_routes(crowd, {}, {ones, hash64(5)});
+}
+
+TEST(BucketPlanRouting, DisplacementFailureRebuildsTheTable) {
+  // Three keys whose two candidate slots in the first table are the same
+  // pair cannot all fit, so the build must rebuild at double the size
+  // under a new seed.
+  const size_t size = bucket_plan::heavy_table_size(3);
+  std::map<std::pair<size_t, size_t>, std::vector<uint64_t>> by_pair;
+  std::vector<uint64_t> heavy;
+  for (uint64_t k = 1; heavy.empty(); ++k) {
+    auto [p1, p2] = bucket_plan::heavy_candidates(k, 0, size);
+    auto& keys = by_pair[{std::min(p1, p2), std::max(p1, p2)}];
+    keys.push_back(k);
+    if (keys.size() == 3) heavy = keys;
+  }
+  auto params = default_params();
+  std::vector<std::pair<uint64_t, size_t>> runs;
+  for (uint64_t k : heavy) runs.push_back({k, params.delta});
+  auto sample = make_sample(runs);
+  auto plan = build_bucket_plan(std::span<const uint64_t>(sample), 1 << 20,
+                                params, params.alpha, test_ctx());
+  ASSERT_EQ(plan.num_heavy, 3u);
+  EXPECT_EQ(plan.heavy_table.size(), 2 * size);
+  EXPECT_NE(plan.heavy_seed, 0u);
+  expect_routes(heavy, {}, {0, 4, hash64(4)});
+}
+
+TEST(BucketPlanRouting, ManyBucketsKeepTheStablePartitionLayout) {
+  // 65,536 unmerged light buckets plus heavy ones: too many for the
+  // kernel's 16-bit ids, so both passes classify. The layout must still be
+  // the stable partition of the input by bucket_of.
+  auto params = default_params();
+  params.merge_light_buckets = false;
+  std::vector<std::pair<uint64_t, size_t>> runs;
+  for (uint64_t k = 1; k <= 64; ++k) runs.push_back({hash64(k), params.delta});
+  auto sample = make_sample(runs);
+  const size_t n = 200000;
+  auto plan = build_bucket_plan(std::span<const uint64_t>(sample), n, params,
+                                params.alpha, test_ctx());
+  ASSERT_EQ(plan.num_heavy, 64u);
+  ASSERT_GE(plan.num_buckets(), 65535u);
+
+  rng r(21);
+  std::vector<record> in(n);
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t key =
+        r.next_below(2) == 0 ? hash64(1 + r.next_below(64)) : r.next();
+    in[i] = {key, i};
+  }
+  pipeline_context ctx;
+  std::vector<record> dest(n);
+  std::span<const size_t> start =
+      scatter_exact(std::span<const record>(in), std::span<record>(dest), plan,
+                    record_key{}, ctx);
+  std::vector<record> expect = in;
+  std::stable_sort(expect.begin(), expect.end(),
+                   [&](const record& a, const record& b) {
+                     return plan.bucket_of(a.key) < plan.bucket_of(b.key);
+                   });
+  EXPECT_TRUE(dest == expect) << "not the stable partition by bucket";
+  std::vector<size_t> expect_start(plan.num_buckets() + 1, 0);
+  for (const record& x : in) expect_start[plan.bucket_of(x.key) + 1]++;
+  for (size_t b = 1; b < expect_start.size(); ++b)
+    expect_start[b] += expect_start[b - 1];
+  EXPECT_EQ(std::vector<size_t>(start.begin(), start.end()), expect_start);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Tests for the stable parallel counting sort (the paper's §2 building
 // block) and the distribution kernel under it: correctness vs the
 // sequential reference, stability, the bucket-boundary output the radix
-// sort relies on, rejection of out-of-range bucket ids, and placement that
-// does not depend on the worker count.
+// sort relies on, rejection of out-of-range bucket ids, placement that
+// does not depend on the worker count, and the stored-id form placing
+// exactly as the recomputing one.
 #include "primitives/counting_sort.h"
 
 #include <gtest/gtest.h>
@@ -123,22 +124,25 @@ TEST_P(CountingSortCases, OutOfRangeBucketIsRejectedBeforePlacing) {
     auto in = random_input(n, static_cast<uint32_t>(buckets), n + t);
     size_t bad_at = positions[t];
     size_t bad_id = bad_ids[t];
-    std::atomic<size_t> placed{0};
-    std::atomic<size_t>* placed_ptr = &placed;
     const keyed* src = in.data();
-    arena scratch;
-    std::span<size_t> start = distribute_stable(
-        n, buckets,
-        [src, bad_at, bad_id](size_t i) {
-          return i == bad_at ? bad_id : static_cast<size_t>(src[i].key);
-        },
-        [placed_ptr](size_t, size_t) {
-          placed_ptr->fetch_add(1, std::memory_order_relaxed);
-        },
-        scratch);
-    EXPECT_TRUE(start.empty()) << "bad id at " << bad_at;
-    EXPECT_EQ(placed.load(std::memory_order_relaxed), 0u)
-        << "bad id at " << bad_at;
+    for (bool store_ids : {false, true}) {
+      std::atomic<size_t> placed{0};
+      std::atomic<size_t>* placed_ptr = &placed;
+      arena scratch;
+      std::span<size_t> start = distribute_stable(
+          n, buckets,
+          [src, bad_at, bad_id](size_t i) {
+            return i == bad_at ? bad_id : static_cast<size_t>(src[i].key);
+          },
+          [placed_ptr](size_t, size_t) {
+            placed_ptr->fetch_add(1, std::memory_order_relaxed);
+          },
+          scratch, store_ids);
+      EXPECT_TRUE(start.empty())
+          << "bad id at " << bad_at << ", store_ids " << store_ids;
+      EXPECT_EQ(placed.load(std::memory_order_relaxed), 0u)
+          << "bad id at " << bad_at << ", store_ids " << store_ids;
+    }
 
     // counting_sort reports the same key as an error and leaves out alone.
     in[bad_at].key = static_cast<uint32_t>(buckets);
@@ -160,9 +164,10 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{50000, 1024}, Case{250000, 256}, Case{10000, 1},
                       Case{300, 5000}));
 
-TEST(CountingSort, PlacementIsIdenticalAtEveryWorkerCount) {
-  // Skewed: half the records share bucket 0, the rest spread over 1000.
-  const size_t n = 300000, buckets = 1001;
+// The kernel's placement and layout on a skewed input — half the records
+// share bucket 0, the rest spread over the others — at `workers` workers.
+std::pair<std::vector<uint32_t>, std::vector<size_t>> distribute_skewed(
+    size_t n, size_t buckets, int workers, bool store_ids) {
   std::vector<uint32_t> key(n);
   rng r(17);
   for (size_t i = 0; i < n; ++i)
@@ -170,26 +175,40 @@ TEST(CountingSort, PlacementIsIdenticalAtEveryWorkerCount) {
                  ? 0u
                  : static_cast<uint32_t>(1 + r.next_below(buckets - 1));
   const uint32_t* src = key.data();
-  auto distribute = [&](int workers) {
-    std::vector<uint32_t> placed(n);
-    std::vector<size_t> layout;
-    uint32_t* dst = placed.data();
-    worker_pool pool(workers);
-    pool.run([&] {
-      ASSERT_EQ(num_workers(), workers);
-      arena scratch;
-      std::span<size_t> start = distribute_stable(
-          n, buckets, [src](size_t i) { return static_cast<size_t>(src[i]); },
-          [dst](size_t i, size_t pos) { dst[pos] = static_cast<uint32_t>(i); },
-          scratch);
-      layout.assign(start.begin(), start.end());
-    });
-    return std::make_pair(placed, layout);
-  };
-  auto one = distribute(1);
-  ASSERT_EQ(one.second.size(), buckets + 1);
-  EXPECT_EQ(distribute(2), one);
-  EXPECT_EQ(distribute(4), one);
+  std::vector<uint32_t> placed(n);
+  std::vector<size_t> layout;
+  uint32_t* dst = placed.data();
+  worker_pool pool(workers);
+  pool.run([&] {
+    ASSERT_EQ(num_workers(), workers);
+    arena scratch;
+    std::span<size_t> start = distribute_stable(
+        n, buckets, [src](size_t i) { return static_cast<size_t>(src[i]); },
+        [dst](size_t i, size_t pos) { dst[pos] = static_cast<uint32_t>(i); },
+        scratch, store_ids);
+    layout.assign(start.begin(), start.end());
+  });
+  return {placed, layout};
+}
+
+TEST(CountingSort, PlacementIsIdenticalAtEveryWorkerCount) {
+  // The 1-worker recomputing pass is the reference for every worker count,
+  // with and without stored ids. Below 65,535 buckets the ids are kept
+  // from the count pass; at and above it they do not fit in 16 bits and
+  // the kernel recomputes them.
+  const size_t n = 300000;
+  for (size_t buckets : {size_t{2}, size_t{1001}, size_t{65534},
+                         size_t{70000}}) {
+    auto one = distribute_skewed(n, buckets, 1, false);
+    ASSERT_EQ(one.second.size(), buckets + 1);
+    for (int workers : {1, 2, 4}) {
+      for (bool store_ids : {false, true}) {
+        EXPECT_EQ(distribute_skewed(n, buckets, workers, store_ids), one)
+            << buckets << " buckets, " << workers << " workers, store_ids "
+            << store_ids;
+      }
+    }
+  }
 }
 
 TEST(CountingSort, AllSameKey) {

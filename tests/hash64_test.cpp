@@ -96,33 +96,6 @@ TEST(HashBytes, EmptyStringIsStable) {
   EXPECT_EQ(hash_string(""), hash_string(std::string_view{}));
 }
 
-TEST(Hash64, BatchMatchesScalarAtEveryCount) {
-  // The interleaved 4-wide mixer must be bit-exact with hash64 per lane —
-  // counts 0..17 walk every (full rounds, tail length) combination.
-  rng r(71);
-  for (size_t count = 0; count <= 17; ++count) {
-    std::vector<uint64_t> in(count), out(count, 0);
-    for (auto& x : in) x = r.next();
-    hash64_batch(in.data(), out.data(), count);
-    for (size_t i = 0; i < count; ++i)
-      ASSERT_EQ(out[i], hash64(in[i])) << "count " << count << " lane " << i;
-  }
-}
-
-TEST(Hash64, SeededBatchMatchesScalarAtEveryCount) {
-  rng r(73);
-  for (size_t count = 0; count <= 17; ++count) {
-    for (uint64_t seed : {uint64_t{1}, uint64_t{9}, r.next()}) {
-      std::vector<uint64_t> in(count), out(count, 0);
-      for (auto& x : in) x = r.next();
-      hash64_seeded_batch(in.data(), out.data(), count, seed);
-      for (size_t i = 0; i < count; ++i)
-        ASSERT_EQ(out[i], hash64_seeded(in[i], seed))
-            << "count " << count << " seed " << seed << " lane " << i;
-    }
-  }
-}
-
 TEST(HashBytes, WordChunkBoundaryLengthsAreDistinct) {
   // Lengths straddling the 8-byte chunk loop and the masked tail read:
   // 0 (no work), 7 (tail only), 8 (one chunk, empty tail), 9 (chunk +
