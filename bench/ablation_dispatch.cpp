@@ -3,15 +3,15 @@
 // the paper's Table 1 distributions, in both key forms: pre-hashed (the
 // paper's inputs — the domain probe must reject and fall back) and raw
 // underlying keys (small dense integer domains — the counting paths' home
-// turf). Each run emits an order-insensitive output checksum so
-// scripts/bench_compare.py can prove the paths are interchangeable, not
-// just fast.
+// turf). Each run prints an order-insensitive output checksum, so the
+// table shows the paths agree as well as their times. (The ctest suite
+// checks every path's output: tests/semisort_property_test.cpp's
+// SemisortSweep on both key forms, tests/dispatch_differential_test.cpp
+// across strategies.)
 //
 // Default here: n = 10^7 (pass --n 100000000 for paper scale); parameters
 // are scaled by n/1e8 like table1_distributions. Use --dist <substring> to
-// restrict the sweep, --keys hashed|raw to restrict the key form. Emits
-// BENCH_ablation_dispatch.json with per-path telemetry (chosen path, key
-// domain width, counting passes).
+// restrict the sweep, --keys hashed|raw to restrict the key form.
 #include "common.h"
 
 namespace {
@@ -27,16 +27,6 @@ uint64_t multiset_checksum(const std::vector<record>& out) {
     sum += hash64(rec.key + 0x9e3779b97f4a7c15ull * hash64(rec.payload));
   }
   return sum;
-}
-
-// Number of maximal equal-key runs: equals the distinct-key count iff the
-// output is properly grouped.
-size_t key_run_count(const std::vector<record>& out) {
-  size_t runs = 0;
-  for (size_t i = 0; i < out.size(); ++i) {
-    if (i == 0 || out[i].key != out[i - 1].key) ++runs;
-  }
-  return runs;
 }
 
 }  // namespace
@@ -68,7 +58,6 @@ int main(int argc, char** argv) {
   // One arena across the whole sweep: after the first run per size the
   // paths are compared on equal (heap-quiet) footing.
   pipeline_context ctx;
-  bench_json json("ablation_dispatch");
   ascii_table table({"distribution", "keys", "path", "time(s)", "Mrec/s",
                      "vs_general", "path_used", "width", "checksum"});
 
@@ -103,7 +92,6 @@ int main(int argc, char** argv) {
         semisort_hashed(std::span<const record>(in), std::span<record>(out),
                         record_key{}, params);
         uint64_t checksum = multiset_checksum(out);
-        size_t runs = key_run_count(out);
 
         char checksum_hex[32];
         std::snprintf(checksum_hex, sizeof checksum_hex, "%016llx",
@@ -113,17 +101,6 @@ int main(int argc, char** argv) {
                        general_time > 0 ? fmt(general_time / secs, 2) : "--",
                        to_string(stats.dispatch_path_used),
                        std::to_string(stats.key_domain_width), checksum_hex});
-        json.add_row()
-            .field("distribution", label)
-            .field("keys", std::string(key_form))
-            .field("n", n)
-            .field("threads", threads)
-            .field("path_requested", std::string(pc.label))
-            .field("time_s", secs)
-            .field("mrec_per_s", static_cast<double>(n) / secs / 1e6)
-            .field("checksum", std::string(checksum_hex))
-            .field("key_runs", runs)
-            .stats(stats);
         std::fprintf(stderr, "  done: %s keys=%s path=%s\n", label.c_str(),
                      key_form, pc.label);
       }
@@ -133,13 +110,12 @@ int main(int argc, char** argv) {
 
   std::printf("%s\n", table.to_string().c_str());
   if (args.has("csv")) std::printf("%s\n", table.to_csv().c_str());
-  json.write();
   std::printf(
-      "expected shape: checksum and key_runs identical down each\n"
-      "(distribution, keys) column (the paths are interchangeable). On\n"
-      "hashed keys every strategy falls back to the general pipeline (the\n"
-      "probe rejects 64-bit hash values). On raw keys with small dense\n"
-      "domains the counting paths skip sampling/bucketing entirely and\n"
-      "should beat general; wide or sparse raw domains fall back.\n");
+      "expected shape: checksum identical down each (distribution, keys)\n"
+      "column (the paths are interchangeable). On hashed keys every\n"
+      "strategy falls back to the general pipeline (the probe rejects\n"
+      "64-bit hash values). On raw keys with small dense domains the\n"
+      "counting paths skip sampling/bucketing entirely and should beat\n"
+      "general; wide or sparse raw domains fall back.\n");
   return 0;
 }

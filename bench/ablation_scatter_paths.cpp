@@ -1,14 +1,13 @@
 // Scatter-engine ablation: every scatter path (CAS/linear-probe, blocked
 // exact-count distribution — plus the adaptive selector)
 // on the paper's Table 1 distributions, with an order-insensitive output
-// checksum per run so scripts/bench_compare.py can prove the paths are
-// interchangeable, not just fast.
+// checksum per run, so the table shows the paths agree as well as their
+// times. (tests/semisort_property_test.cpp's SemisortSweep checks every
+// path's output on every distribution.)
 //
 // Default here: n = 10^7 (pass --n 100000000 for paper scale); parameters
 // are scaled by n/1e8 like table1_distributions. Use --dist <substring> to
-// restrict the sweep, --threads for the worker count. Emits
-// BENCH_ablation_scatter_paths.json with the per-path telemetry (probe
-// histogram on CAS).
+// restrict the sweep, --threads for the worker count.
 #include "common.h"
 
 namespace {
@@ -24,17 +23,6 @@ uint64_t multiset_checksum(const std::vector<record>& out) {
     sum += hash64(rec.key + 0x9e3779b97f4a7c15ull * hash64(rec.payload));
   }
   return sum;
-}
-
-// Number of maximal equal-key runs: equals the distinct-key count iff the
-// output is properly grouped, so a path that scatters correctly but groups
-// wrongly can't slip past the checksum.
-size_t key_run_count(const std::vector<record>& out) {
-  size_t runs = 0;
-  for (size_t i = 0; i < out.size(); ++i) {
-    if (i == 0 || out[i].key != out[i - 1].key) ++runs;
-  }
-  return runs;
 }
 
 }  // namespace
@@ -64,7 +52,6 @@ int main(int argc, char** argv) {
   // One arena across the whole sweep: after the first run per size the
   // paths are compared on equal (heap-quiet) footing.
   pipeline_context ctx;
-  bench_json json("ablation_scatter_paths");
   ascii_table table({"distribution", "path", "time(s)", "Mrec/s", "vs_cas",
                      "path_used", "checksum"});
 
@@ -95,7 +82,6 @@ int main(int argc, char** argv) {
       semisort_hashed(std::span<const record>(in), std::span<record>(out),
                       record_key{}, params);
       uint64_t checksum = multiset_checksum(out);
-      size_t runs = key_run_count(out);
 
       char checksum_hex[32];
       std::snprintf(checksum_hex, sizeof checksum_hex, "%016llx",
@@ -104,16 +90,6 @@ int main(int argc, char** argv) {
                      fmt(static_cast<double>(n) / secs / 1e6, 1),
                      cas_time > 0 ? fmt(cas_time / secs, 2) : "--",
                      to_string(stats.scatter_path_used), checksum_hex});
-      json.add_row()
-          .field("distribution", label)
-          .field("n", n)
-          .field("threads", threads)
-          .field("path_requested", std::string(pc.label))
-          .field("time_s", secs)
-          .field("mrec_per_s", static_cast<double>(n) / secs / 1e6)
-          .field("checksum", std::string(checksum_hex))
-          .field("key_runs", runs)
-          .stats(stats);
       std::fprintf(stderr, "  done: %s path=%s\n", label.c_str(), pc.label);
     }
   }
@@ -121,12 +97,10 @@ int main(int argc, char** argv) {
 
   std::printf("%s\n", table.to_string().c_str());
   if (args.has("csv")) std::printf("%s\n", table.to_csv().c_str());
-  json.write();
   std::printf(
-      "expected shape: checksum and key_runs identical down each\n"
-      "distribution's column (the paths are interchangeable); blocked\n"
-      "(exact-count: contention-free, one slot per record, no pack) wins\n"
-      "at every n and bucket count, and adaptive picks it; CAS is the\n"
-      "paper's reference scatter.\n");
+      "expected shape: checksum identical down each distribution's column\n"
+      "(the paths are interchangeable); blocked (exact-count: contention-\n"
+      "free, one slot per record, no pack) wins at every n and bucket\n"
+      "count, and adaptive picks it; CAS is the paper's reference scatter.\n");
   return 0;
 }

@@ -9,7 +9,7 @@
 namespace parsemi::bench {
 
 inline int run_breakdown(
-    int argc, char** argv, const char* title, const char* json_name,
+    int argc, char** argv, const char* title,
     const std::function<distribution_spec(size_t)>& make_spec,
     const char* shape_note) {
   arg_parser args(argc, argv);
@@ -24,16 +24,15 @@ inline int run_breakdown(
   auto in = generate_records(n, spec, 42);
 
   // One memory plan across every rep and thread count: after the first rep
-  // the arena is warm, so the reported times (and the JSON's arena_allocs)
-  // reflect the zero-heap steady state a reused pipeline_context promises.
+  // the arena is warm, so the reported times reflect the zero-heap steady
+  // state a reused pipeline_context promises.
   pipeline_context ctx;
 
-  // The breakdown of the best-of-reps run at each thread count. The timed
-  // reps run with stats off, so the table holds only the algorithm's
-  // phases: stats would add a "stats" lap and, on the CAS path, one shared
-  // atomic per record to the scatter. Stats come from one extra untimed
-  // call.
-  auto measure = [&](int threads, semisort_stats& stats_out) {
+  // The breakdown of the best-of-reps run at each thread count. The reps
+  // run with stats off, so the table holds only the algorithm's phases:
+  // stats would add a "stats" lap and, on the CAS path, one shared atomic
+  // per record to the scatter.
+  auto measure = [&](int threads) {
     set_num_workers(threads);
     std::vector<record> out(in.size());
     semisort_params params;
@@ -50,17 +49,12 @@ inline int run_breakdown(
         best = pt;
       }
     }
-    params.timings = nullptr;
-    params.stats = &stats_out;
-    semisort_hashed(std::span<const record>(in), std::span<record>(out),
-                    record_key{}, params);
     set_num_workers(1);
     return best;
   };
 
-  semisort_stats seq_stats, par_stats;
-  phase_timer seq = measure(1, seq_stats);
-  phase_timer par = measure(max_threads, par_stats);
+  phase_timer seq = measure(1);
+  phase_timer par = measure(max_threads);
 
   ascii_table table({"phase", "seq time(s)", "seq %",
                      "T" + std::to_string(max_threads) + " time(s)",
@@ -77,23 +71,6 @@ inline int run_breakdown(
   std::printf("%s\n", table.to_string().c_str());
   if (args.has("csv")) std::printf("%s\n", table.to_csv().c_str());
   std::printf("%s", shape_note);
-
-  bench_json json(json_name);
-  auto add_json = [&](const char* mode, int threads, const phase_timer& pt,
-                      const semisort_stats& st) {
-    auto& r = json.add_row();
-    r.field("distribution", dist_label(spec))
-        .field("n", n)
-        .field("threads", threads)
-        .field("mode", std::string(mode))
-        .field("total_s", pt.total());
-    for (auto& [phase, t] : pt.phases())
-      r.field(("phase_" + phase + "_s").c_str(), t);
-    r.stats(st);
-  };
-  add_json("seq", 1, seq, seq_stats);
-  add_json("par", max_threads, par, par_stats);
-  json.write();
   return 0;
 }
 

@@ -11,10 +11,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -26,7 +24,6 @@
 #include "sort/sample_sort.h"
 #include "util/env.h"
 #include "util/rng.h"
-#include "util/simd.h"
 #include "util/table.h"
 #include "util/timer.h"
 #include "workloads/distributions.h"
@@ -184,202 +181,6 @@ inline double heavy_percent(const std::vector<record>& in) {
 inline std::string dist_label(const distribution_spec& spec) {
   return spec.name() + "(" + fmt_count(spec.parameter) + ")";
 }
-
-// JSON string escaping for the sidecar writer: quotes, backslashes, and
-// control characters. Everything bench_json interpolates into a string
-// position — values, keys, the bench name — goes through here, so labels
-// like `zipf("s")` or a path with backslashes can't corrupt the sidecar.
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-// Machine-readable sidecar: mirrors a bench's results into BENCH_<name>.json
-// in the working directory so the memory-plan telemetry (peak scratch,
-// arena allocations, restarts, scatter path + per-path histograms) can be
-// diffed across runs — and parsed by scripts/bench_compare.py with a strict
-// JSON parser — without scraping the ASCII tables.
-class bench_json {
- public:
-  explicit bench_json(std::string name) : name_(std::move(name)) {}
-
-  class row {
-   public:
-    row& field(const char* key, const std::string& v) {
-      add_key(key);
-      body_ += '"';
-      body_ += json_escape(v);
-      body_ += '"';
-      return *this;
-    }
-    row& field(const char* key, double v) {
-      add_key(key);
-      if (!std::isfinite(v)) {
-        body_ += "null";  // JSON has no NaN/Infinity tokens
-      } else {
-        char buf[64];
-        std::snprintf(buf, sizeof buf, "%.6g", v);
-        body_ += buf;
-      }
-      return *this;
-    }
-    row& field(const char* key, size_t v) {
-      add_key(key);
-      body_ += std::to_string(v);
-      return *this;
-    }
-    row& field(const char* key, int v) {
-      add_key(key);
-      body_ += std::to_string(v);
-      return *this;
-    }
-    row& field_array(const char* key, const size_t* v, size_t count) {
-      add_key(key);
-      body_ += '[';
-      for (size_t i = 0; i < count; ++i) {
-        if (i > 0) body_ += ',';
-        body_ += std::to_string(v[i]);
-      }
-      body_ += ']';
-      return *this;
-    }
-    // Nested metric map, built with the same field API. An empty map
-    // renders as `{}` — valid JSON — so path-conditional metric groups
-    // (probe stats on the CAS path) can be emitted unconditionally.
-    row& field_object(const char* key, const row& obj) {
-      add_key(key);
-      body_ += '{';
-      body_ += obj.body_;
-      body_ += '}';
-      return *this;
-    }
-    // The memory plan and scatter telemetry of one semisort run. The probe
-    // metric map is emitted only for the CAS path (empty `{}` otherwise),
-    // keeping the table2/table3 breakdown sidecars meaningful whatever path
-    // the run selected.
-    row& stats(const semisort_stats& s) {
-      field("restarts", s.restarts);
-      field("peak_scratch_bytes", s.peak_scratch_bytes);
-      field("arena_allocs", s.arena_allocs);
-      field("scratch_capacity_bytes", s.scratch_capacity_bytes);
-      field("slots_per_record", s.slots_per_record());
-      field("scatter_path", std::string(to_string(s.scatter_path_used)));
-      field("dispatch_path", std::string(to_string(s.dispatch_path_used)));
-      // Execution-model telemetry: a non-zero fallback count means the run
-      // was silently serialized (foreign caller, no pool routing).
-      field("sequential_fallbacks", static_cast<size_t>(s.sequential_fallbacks));
-      row probe;
-      if (s.scatter_path_used == scatter_path::cas) {
-        probe.field("max_probe", s.max_probe);
-        probe.field("mean_probe_len", s.mean_probe_len());
-        probe.field_array("probe_hist", s.probe_hist.data(),
-                          s.probe_hist.size());
-      }
-      field_object("probe", probe);
-      // Out-of-core telemetry: emitted whenever the run went through the
-      // budget-aware front door (shards >= 1); `{}` for legacy stats that
-      // never saw the shard driver.
-      row shard;
-      if (s.shards >= 1) {
-        shard.field("shards", s.shards);
-        shard.field("spilled_bytes", s.spilled_bytes);
-        shard.field("peak_scratch_bytes", s.shard_peak_scratch_bytes);
-      }
-      field_object("shard", shard);
-      // Front-end dispatch telemetry: populated only when a fast path ran
-      // (the general pipeline never probes these).
-      row counting;
-      if (s.dispatch_path_used != dispatch_path::general) {
-        counting.field("key_domain_width", s.key_domain_width);
-        counting.field("passes", s.counting_passes);
-      }
-      field_object("counting", counting);
-      // The execution plan the run decided up front (core/exec_plan.h).
-      // Mirrors the flat legacy keys (scatter_path, dispatch_path,
-      // key_domain_width, shard.shards) as nested plan{} and adds the
-      // plan-only facts: probe accounting (the single-probe contract),
-      // reuse, and the predicted bucket count.
-      row plan_obj;
-      plan_obj.field("reused", s.plan.reused ? 1 : 0);
-      plan_obj.field("probe_passes", s.plan.probe_passes);
-      plan_obj.field("probe_records", s.plan.probe_records);
-      plan_obj.field("dispatch_path", std::string(to_string(s.plan.dispatch)));
-      plan_obj.field("scatter_path", std::string(to_string(s.plan.scatter)));
-      plan_obj.field("key_domain_width", s.plan.key_domain_width);
-      plan_obj.field("predicted_buckets", s.plan.predicted_buckets);
-      plan_obj.field("shards", s.plan.shards);
-      plan_obj.field("memory_budget", s.plan.memory_budget);
-      plan_obj.field("pool_workers", s.plan.pool_workers);
-      field_object("plan", plan_obj);
-      // The build's compile-time tier, so a sidecar records which loop
-      // shapes the binary ran. Always emitted — the forced-scalar baseline
-      // is distinguishable by width_bits == 64.
-      row simd_obj;
-      simd_obj.field("width_bits", simd::kWidthBits);
-      simd_obj.field("isa", std::string(simd::isa_name()));
-      field_object("simd", simd_obj);
-      return *this;
-    }
-
-   private:
-    friend class bench_json;
-    void add_key(const char* key) {
-      if (!body_.empty()) body_ += ", ";
-      body_ += '"';
-      body_ += json_escape(key);
-      body_ += "\": ";
-    }
-    std::string body_;
-  };
-
-  // The returned reference stays valid for the writer's lifetime.
-  row& add_row() {
-    rows_.emplace_back();
-    return rows_.back();
-  }
-
-  bool write() const {
-    std::string path = "BENCH_" + name_ + ".json";
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "warning: could not write %s\n", path.c_str());
-      return false;
-    }
-    std::fprintf(f, "{\"bench\": \"%s\", \"rows\": [\n",
-                 json_escape(name_).c_str());
-    for (size_t i = 0; i < rows_.size(); ++i) {
-      std::fprintf(f, "  {%s}%s\n", rows_[i].body_.c_str(),
-                   i + 1 < rows_.size() ? "," : "");
-    }
-    std::fprintf(f, "]}\n");
-    std::fclose(f);
-    std::fprintf(stderr, "wrote %s\n", path.c_str());
-    return true;
-  }
-
- private:
-  std::string name_;
-  std::deque<row> rows_;  // deque: add_row references stay valid
-};
 
 // Standard preamble: prints the machine context every table depends on.
 inline void print_context(const char* what, size_t n) {

@@ -7,7 +7,6 @@ int main(int argc, char** argv) {
   using namespace parsemi;
   return bench::run_breakdown(
       argc, argv, "Table 2 / Figure 3(a): phase breakdown, exponential",
-      "table2_breakdown",
       [](size_t n) {
         return distribution_spec{distribution_kind::exponential,
                                  std::max<uint64_t>(1, n / 1000)};

@@ -7,7 +7,6 @@ int main(int argc, char** argv) {
   using namespace parsemi;
   return bench::run_breakdown(
       argc, argv, "Table 3 / Figure 3(b): phase breakdown, uniform",
-      "table3_breakdown",
       [](size_t n) {
         return distribution_spec{distribution_kind::uniform,
                                  std::max<uint64_t>(1, n)};

@@ -11,9 +11,10 @@
 //   table4_size_scaling --sizes 1000000000 --budget 4G --reps 1
 // With --budget set, runs whose input+output no longer fit beside the
 // budget are held in file-backed mappings and the semisort itself shards
-// under the budget (stats land in the `shard` sidecar object). Sequential
-// and scatter/pack baselines are skipped above --seqlimit records so the
-// large points do not spend hours in single-threaded baselines.
+// under the budget (the shard count lands in the table's shards column).
+// Sequential and scatter/pack baselines are skipped above --seqlimit
+// records so the large points do not spend hours in single-threaded
+// baselines.
 //
 // --inplace switches the timed call to the in-place entry point (the input
 // is restored by a copy inside the timed region, identically in every
@@ -57,10 +58,8 @@ int main(int argc, char** argv) {
   }
 
   // One context across every size and distribution: the arena only grows,
-  // so all but the first run at each size are heap-quiet, and the JSON
-  // shows the memory plan (peak scratch, arena allocs) per configuration.
+  // so all but the first run at each size are heap-quiet.
   pipeline_context ctx;
-  bench_json json("table4_size_scaling");
 
   std::vector<std::pair<const char*, distribution_kind>> dists = {
       {"exponential(n/1e3)", distribution_kind::exponential},
@@ -139,32 +138,16 @@ int main(int argc, char** argv) {
                      run_baselines ? fmt(sp.pack, 3) : "-",
                      run_baselines ? fmt(sp.scatter + sp.pack, 3) : "-",
                      std::to_string(stats.shards)});
-      auto& row = json.add_row()
-                      .field("distribution", std::string(title))
-                      .field("n", n)
-                      .field("threads", max_threads)
-                      .field("memory_budget", budget)
-                      .field("entry", inplace ? std::string("inplace")
-                                              : std::string("copy"))
-                      .field("file_backed", static_cast<int>(file_backed))
-                      .field("par_s", par);
-      if (run_baselines) {
-        row.field("seq_s", seq)
-            .field("scatter_s", sp.scatter)
-            .field("pack_s", sp.pack);
-      }
-      row.stats(stats);
       std::fprintf(stderr, "  done: %s n=%s shards=%zu\n", title,
                    fmt_count(n).c_str(), stats.shards);
     }
     std::printf("%s:\n%s\n", title, table.to_string().c_str());
     if (args.has("csv")) std::printf("%s\n", table.to_csv().c_str());
   }
-  json.write();
   std::printf(
       "paper shape: records/second improves with n (fixed costs amortize);\n"
       "parallel semisort stays within ~1.5-2x of the raw scatter+pack lower\n"
       "bound, with the ratio improving at larger n. With --budget, the\n"
-      "largest sizes run sharded (see the shard column / sidecar object).\n");
+      "largest sizes run sharded (see the shards column).\n");
   return 0;
 }

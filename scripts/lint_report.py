@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """CI reporter over parsemi_check --format=json findings.
 
-Two modes, mirroring bench_compare.py's shape (stdlib only, strict JSON,
-exit 0/1):
+Two modes (stdlib only, strict JSON, exit 0/1):
 
   report (default): validate the findings document, print a human summary,
     and — with --annotate — emit GitHub Actions workflow commands

@@ -1,6 +1,6 @@
-"""Unit tests for scripts/lint_report.py (stdlib only, mirrors
-test_bench_compare.py). Run via `python3 -m unittest scripts.test_lint_report`
-from the repo root, or through the `lint_report_unit` ctest."""
+"""Unit tests for scripts/lint_report.py (stdlib only). Run via
+`python3 -m unittest scripts.test_lint_report` from the repo root, or
+through the `lint_report_unit` ctest."""
 
 import io
 import unittest

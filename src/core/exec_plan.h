@@ -21,8 +21,8 @@
 //   * serializable — serialize() emits a deterministic text form: same
 //     input, params, and seed produce byte-identical bytes (the planner
 //     has no hidden randomness), which is what tests/plan_test.cpp pins.
-//   * inspectable — the CLI's --explain prints it; every bench sidecar
-//     and semisort_stats carries the nested plan{} summary (core/params.h).
+//   * inspectable — the CLI's --explain prints it; semisort_stats carries
+//     the nested plan{} summary (core/params.h).
 #pragma once
 
 #include <cstddef>
@@ -60,12 +60,15 @@ struct semisort_plan {
   uint64_t domain_width = 0;  // meaningful only when domain_dense
   size_t counting_passes = 0; // 1 = one-pass counting, 2 = two radix passes
 
-  // --- scatter decision (general pipeline only) ---
+  // --- scatter decision ---
   // Decided from params alone (core/scatter.h's choose_scatter_path),
-  // so the plan needs no extra scan. Forced strategies (params /
-  // PARSEMI_SCATTER_PATH / random probing) land here verbatim.
-  // predicted_buckets — n·p / light_bucket_samples merged light buckets,
-  // capped at num_hash_ranges — is reported, not routed on.
+  // so the plan needs no extra scan, and recorded on every route: the
+  // general pipeline runs it, a sharded plan's shards run it, and a
+  // counting plan falls back to it when a reused plan's domain misses the
+  // keys. Forced strategies (params / PARSEMI_SCATTER_PATH / random
+  // probing) land here verbatim. predicted_buckets (general pipeline
+  // only) — n·p / light_bucket_samples merged light buckets, capped at
+  // num_hash_ranges — is reported, not routed on.
   scatter_path scatter = scatter_path::cas;
   size_t predicted_buckets = 0;
 
@@ -76,7 +79,6 @@ struct semisort_plan {
 
   // --- execution environment the plan was built against ---
   int pool_workers = 0;      // worker count of the bound pool
-  size_t simd_width = 0;     // compile-time vector tier (util/simd.h)
 
   size_t num_shards() const { return sharded ? shards.num_shards : 1; }
 
@@ -140,7 +142,6 @@ struct semisort_plan {
       out += "]\n";
     }
     kv_u("pool_workers", static_cast<unsigned long long>(pool_workers));
-    kv_u("simd_width", simd_width);
     return out;
   }
 };

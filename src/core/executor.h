@@ -376,15 +376,14 @@ void execute_sharded_plan(std::span<const Record> in, std::span<Record> out,
 // exact-count path is the final attempt, so the call terminates with
 // certainty (stats.restarts then counts every failed CAS attempt). A
 // cached counting plan whose domain misses this call's keys falls back to
-// the general pipeline, with the scatter path the planner would have
-// chosen.
+// the general pipeline on the plan's scatter path, which the planner
+// records on every route.
 template <typename Record, typename GetKey>
 void execute_in_memory_plan(std::span<const Record> in, std::span<Record> out,
                             GetKey get_key, const semisort_params& params,
                             const semisort_plan& plan, bool aliased,
                             context_binding& bind) {
   if (params.stats != nullptr) params.stats->shards = 1;
-  scatter_path path = plan.scatter;
   if (plan.dispatch == dispatch_path::counting) {
     key_domain dom;
     dom.dense = true;
@@ -395,11 +394,10 @@ void execute_in_memory_plan(std::span<const Record> in, std::span<Record> out,
       bind.finalize(params.stats);
       return;
     }
-    path = choose_scatter_path(params);
     if (params.stats != nullptr) params.stats->key_domain_width = 0;
   }
   int attempt = 0;
-  if (path == scatter_path::cas) {
+  if (plan.scatter == scatter_path::cas) {
     double alpha = params.alpha;
     for (; attempt <= params.max_retries; ++attempt) {
       if (params.timings != nullptr && attempt > 0) params.timings->clear();

@@ -18,12 +18,11 @@
 //     problem*), then one stable counting sort by label. Groups come out
 //     contiguous but NOT ordered by hash value — a useful property test
 //     that callers only rely on the semisort contract.
-// std_sort runs one kernel on the accelerated tier (util/simd.h): every
-// bucket of 2 to kMsdStackMax trivially copyable records of at most 32
-// bytes takes a stable MSD radix sort over the hashed key
-// (radix_bucket_sort). A merged light bucket spans a few adjacent hash
-// ranges, so its keys share their top bits; the kernel therefore splits on
-// the bits the keys actually differ in:
+// std_sort runs one kernel: every bucket of 2 to kMsdStackMax trivially
+// copyable records of at most 32 bytes takes a stable MSD radix sort over
+// the hashed key (radix_bucket_sort). A merged light bucket spans a few
+// adjacent hash ranges, so its keys share their top bits; the kernel
+// therefore splits on the bits the keys actually differ in:
 //   1. one scan ORs key ^ key0 over the range — an all-equal range is done;
 //   2. one stable counting pass sorts by the w = min(12, bit_width(b) + 1)
 //      bits from the highest set bit of that OR down, b the range's size;
@@ -34,8 +33,8 @@
 // consumes at least 6 key bits: at most 11 levels. The scratch is stack
 // only — one 16 KiB digit table per level plus one record buffer of
 // kMsdStackMax records, at most 11 · 16 + 128 = 304 KiB — so the kernel
-// never touches the heap or an arena. Bigger buckets, other records and
-// the forced-scalar tier keep std::sort, the reference.
+// never touches the heap or an arena. Bigger buckets and other records
+// keep std::sort, the reference.
 #pragma once
 
 #include <algorithm>
@@ -225,7 +224,7 @@ void sort_bucket(std::span<Record> bucket, GetKey& get_key,
   }
   const size_t count = bucket.size();
   if (count < 2) return;
-  if constexpr (radix_sortable<Record> && simd::kEnabled) {
+  if constexpr (radix_sortable<Record>) {
     if (count <= kMsdStackMax) {
       radix_bucket_sort(bucket, get_key);
       return;

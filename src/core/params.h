@@ -58,12 +58,12 @@ inline const char* to_string(dispatch_path p) {
 }
 
 // Summary of the execution plan a call ran under (core/exec_plan.h),
-// surfaced verbatim in semisort_stats and every bench sidecar's nested
-// plan{} object. The flat legacy fields (scatter_path_used,
-// dispatch_path_used, key_domain_width, shards) stay populated by the
-// execution itself; this block records what was *decided* and what the
-// decision cost (probe passes), which is how the single-probe contract
-// and plan reuse are observable.
+// surfaced verbatim in semisort_stats as its nested plan{} object. The
+// flat legacy fields (scatter_path_used, dispatch_path_used,
+// key_domain_width, shards) stay populated by the execution itself; this
+// block records what was *decided* and what the decision cost (probe
+// passes), which is how the single-probe contract and plan reuse are
+// observable.
 struct plan_summary {
   bool reused = false;        // came in via semisort_params::plan
   size_t probe_passes = 0;    // input scans the planner performed (≤ 1)

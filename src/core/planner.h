@@ -4,12 +4,14 @@
 //
 //   * unsharded route — the only scan is the key-domain probe
 //     (core/key_domain.h), and it runs only when the dispatch strategy
-//     wants it; the scatter path is then chosen from params alone,
-//     not from a second scan.
+//     wants it.
 //   * sharded route — the only scan is plan_shards' strided histogram
 //     sample (shard/shard_plan.h). The key-domain probe is skipped
 //     entirely: each shard's engine call plans its own shard-local domain,
 //     where the shard IS the input.
+//
+// Both routes record the scatter path, chosen from params alone
+// (init_plan_binding), not from a scan.
 //
 // The probe-pass accounting (plan.probe_passes / probe_records) makes the
 // contract observable — tests/plan_test.cpp pins it to ≤ 1.
@@ -36,7 +38,6 @@
 #include "shard/shard_plan.h"
 #include "util/env.h"
 #include "util/rng.h"
-#include "util/simd.h"
 
 namespace parsemi {
 namespace internal {
@@ -121,7 +122,7 @@ inline void init_plan_binding(semisort_plan& plan, size_t n,
   plan.params_fingerprint = fingerprint_params(params);
   plan.memory_budget = resolve_memory_budget(params);
   plan.pool_workers = planned_pool_workers(params);
-  plan.simd_width = simd::kWidthBits;
+  plan.scatter = choose_scatter_path(params);
 }
 
 // Sharded-route planning: when the projected in-memory footprint exceeds
@@ -149,7 +150,7 @@ bool plan_sharded_route(std::span<const Record> in, GetKey&& get_key,
 
 // In-memory planning: resolve the front-end dispatch (running the
 // key-domain probe only when the strategy asks for it — this route's one
-// probe), then fix the scatter path and record the predicted bucket count.
+// probe), then record the predicted bucket count.
 template <typename Record, typename GetKey>
 void plan_in_memory(std::span<const Record> in, GetKey&& get_key,
                     const semisort_params& params, semisort_plan& plan,
@@ -171,10 +172,8 @@ void plan_in_memory(std::span<const Record> in, GetKey&& get_key,
       plan.counting_passes = dom.width <= kCountingOnePassMaxWidth ? 1 : 2;
     }
   }
-  if (plan.dispatch == dispatch_path::general) {
+  if (plan.dispatch == dispatch_path::general)
     plan.predicted_buckets = predict_bucket_count(n, params);
-    plan.scatter = choose_scatter_path(params);
-  }
 }
 
 }  // namespace internal

@@ -20,7 +20,6 @@
 #include "primitives/counting_sort.h"
 #include "scheduler/scheduler.h"
 #include "util/rng.h"
-#include "util/simd.h"
 
 namespace parsemi {
 
@@ -34,39 +33,30 @@ std::span<uint64_t> sample_keys(std::span<const Record> in, GetKey get_key,
   auto num_samples = static_cast<size_t>(static_cast<double>(n) * sampling_p);
   std::span<uint64_t> sample(ctx.scratch.alloc<uint64_t>(num_samples),
                              num_samples);
-  if constexpr (simd::kEnabled) {
-    // Batched draw: 4 positions per round through the interleaved splitmix
-    // mixer (rng::ith_batch — bit-identical to 4 ith_below calls), so the
-    // mixer's multiply latency overlaps the strided sample loads.
-    parallel_for_blocks(num_samples, size_t{512},
-                        [&](size_t, size_t blo, size_t bhi) {
-      uint64_t draws[4];
-      size_t i = blo;
-      for (; i + 4 <= bhi; i += 4) {
-        base.ith_batch(i, draws);
-        for (size_t k = 0; k < 4; ++k) {
-          size_t lo = ((i + k) * n) / num_samples;
-          size_t hi = ((i + k + 1) * n) / num_samples;
-          size_t pos = lo + static_cast<size_t>(
-              (static_cast<unsigned __int128>(draws[k]) * (hi - lo)) >> 64);
-          sample[i + k] = get_key(in[pos]);
-        }
+  // Batched draw: 4 positions per round through the interleaved splitmix
+  // mixer (rng::ith_batch — bit-identical to 4 ith_below calls), so the
+  // mixer's multiply latency overlaps the strided sample loads. Stride
+  // boundaries are chosen so the strides exactly tile [0, n).
+  parallel_for_blocks(num_samples, size_t{512},
+                      [&](size_t, size_t blo, size_t bhi) {
+    uint64_t draws[4];
+    size_t i = blo;
+    for (; i + 4 <= bhi; i += 4) {
+      base.ith_batch(i, draws);
+      for (size_t k = 0; k < 4; ++k) {
+        size_t lo = ((i + k) * n) / num_samples;
+        size_t hi = ((i + k + 1) * n) / num_samples;
+        size_t pos = lo + static_cast<size_t>(
+            (static_cast<unsigned __int128>(draws[k]) * (hi - lo)) >> 64);
+        sample[i + k] = get_key(in[pos]);
       }
-      for (; i < bhi; ++i) {
-        size_t lo = (i * n) / num_samples;
-        size_t hi = ((i + 1) * n) / num_samples;
-        sample[i] = get_key(in[lo + base.ith_below(i, hi - lo)]);
-      }
-    });
-  } else {
-    parallel_for(0, num_samples, [&](size_t i) {
-      // Stride boundaries chosen so the strides exactly tile [0, n).
+    }
+    for (; i < bhi; ++i) {
       size_t lo = (i * n) / num_samples;
       size_t hi = ((i + 1) * n) / num_samples;
-      size_t pos = lo + base.ith_below(i, hi - lo);
-      sample[i] = get_key(in[pos]);
-    });
-  }
+      sample[i] = get_key(in[lo + base.ith_below(i, hi - lo)]);
+    }
+  });
   return sample;
 }
 

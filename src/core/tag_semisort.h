@@ -32,7 +32,6 @@
 #include "core/semisort.h"
 #include "primitives/pack.h"
 #include "scheduler/scheduler.h"
-#include "util/simd.h"
 
 namespace parsemi {
 
@@ -65,28 +64,22 @@ std::span<key_tag> tag_semisort(size_t n, KeyAt&& key_at,
                                 pipeline_context& ctx) {
   if (n == 0) return {};
   key_tag* tags = ctx.scratch.alloc<key_tag>(n);
-  if constexpr (simd::kEnabled) {
-    // 4-wide tagging: key_at calls are independent, so unrolling lets four
-    // hash chains (typically hash64's multiply sequences) overlap in
-    // flight instead of serializing behind one store each.
-    parallel_for_blocks(n, size_t{1024}, [&](size_t, size_t blo, size_t bhi) {
-      size_t i = blo;
-      for (; i + 4 <= bhi; i += 4) {
-        uint64_t k0 = key_at(i), k1 = key_at(i + 1), k2 = key_at(i + 2),
-                 k3 = key_at(i + 3);
-        tags[i] = key_tag{k0, static_cast<uint64_t>(i)};
-        tags[i + 1] = key_tag{k1, static_cast<uint64_t>(i + 1)};
-        tags[i + 2] = key_tag{k2, static_cast<uint64_t>(i + 2)};
-        tags[i + 3] = key_tag{k3, static_cast<uint64_t>(i + 3)};
-      }
-      for (; i < bhi; ++i)
-        tags[i] = key_tag{key_at(i), static_cast<uint64_t>(i)};
-    });
-  } else {
-    parallel_for(0, n, [&](size_t i) {
+  // 4-wide tagging: key_at calls are independent, so unrolling lets four
+  // hash chains (typically hash64's multiply sequences) overlap in flight
+  // instead of serializing behind one store each.
+  parallel_for_blocks(n, size_t{1024}, [&](size_t, size_t blo, size_t bhi) {
+    size_t i = blo;
+    for (; i + 4 <= bhi; i += 4) {
+      uint64_t k0 = key_at(i), k1 = key_at(i + 1), k2 = key_at(i + 2),
+               k3 = key_at(i + 3);
+      tags[i] = key_tag{k0, static_cast<uint64_t>(i)};
+      tags[i + 1] = key_tag{k1, static_cast<uint64_t>(i + 1)};
+      tags[i + 2] = key_tag{k2, static_cast<uint64_t>(i + 2)};
+      tags[i + 3] = key_tag{k3, static_cast<uint64_t>(i + 3)};
+    }
+    for (; i < bhi; ++i)
       tags[i] = key_tag{key_at(i), static_cast<uint64_t>(i)};
-    });
-  }
+  });
   key_tag* sorted = ctx.scratch.alloc<key_tag>(n);
   semisort_params inner = params;
   inner.context = &ctx;  // re-enter the same arena (depth > 0: not owner)

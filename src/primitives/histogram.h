@@ -10,7 +10,6 @@
 
 #include "primitives/scan.h"
 #include "scheduler/scheduler.h"
-#include "util/simd.h"
 
 namespace parsemi {
 
@@ -40,22 +39,18 @@ void histogram_blocks(size_t n, size_t block, size_t num_buckets,
   parallel_for_blocks(n, block, [&](size_t b, size_t lo, size_t hi) {
     size_t* local = counts + b * num_buckets;
     std::fill(local, local + num_buckets, size_t{0});
-    if constexpr (simd::kEnabled) {
-      // 4-wide: the key computations (typically a hash + shift) are
-      // independent, so batching them hides their latency behind the
-      // (dependent) count increments.
-      size_t i = lo;
-      for (; i + 4 <= hi; i += 4) {
-        size_t k0 = key(i), k1 = key(i + 1), k2 = key(i + 2), k3 = key(i + 3);
-        local[k0]++;
-        local[k1]++;
-        local[k2]++;
-        local[k3]++;
-      }
-      for (; i < hi; ++i) local[key(i)]++;
-    } else {
-      for (size_t i = lo; i < hi; ++i) local[key(i)]++;
+    // 4-wide: the key computations (typically a hash + shift) are
+    // independent, so batching them hides their latency behind the
+    // (dependent) count increments.
+    size_t i = lo;
+    for (; i + 4 <= hi; i += 4) {
+      size_t k0 = key(i), k1 = key(i + 1), k2 = key(i + 2), k3 = key(i + 3);
+      local[k0]++;
+      local[k1]++;
+      local[k2]++;
+      local[k3]++;
     }
+    for (; i < hi; ++i) local[key(i)]++;
   });
 }
 

@@ -1,20 +1,11 @@
-// Compile-time hot-loop tier for the batched and unrolled loop shapes.
+// The record copy of the pack and staging passes, and the build's ISA
+// label.
 //
-// Design contract (see DESIGN.md "SIMD abstraction & hot loops"):
-//   - Compile-time dispatch only: the tier is chosen from __AVX2__ /
-//     __SSE2__ at build time (no cpuid, no function pointers — the hot
-//     loops are too small to amortize an indirect call). No intrinsics:
-//     the accelerated shapes are independent scalar chains (interleaved
-//     hashing, 4-wide histogram keys) and the local-sort radix kernel
-//     (core/local_sort.h).
-//   - Every accelerated shape keeps its plain loop beside it, selected
-//     when `kEnabled` is false. The hashing and histogram shapes are
-//     bit-exact with their plain loops; the radix kernel yields the same
-//     key sequence as its std::sort reference, in stable order.
-//     copy_records below is the same on every tier.
-//   - `PARSEMI_SIMD=OFF` (CMake) defines PARSEMI_SIMD_OFF and forces tier
-//     0 regardless of ISA, giving CI a portable build and the perf gate a
-//     true "before" baseline (the pre-vectorization loop shapes).
+// Design contract (see DESIGN.md "Hot loops"):
+//   - Every target compiles the same loop shapes, with no intrinsics. The
+//     unrolled hot loops (4-wide keys in histogram_blocks, sample_keys and
+//     tag_semisort) are independent scalar chains, and the local-sort
+//     radix kernel (core/local_sort.h) is portable C++.
 //   - No allocation anywhere: every helper works on caller memory only, so
 //     the warm-path zero-alloc contract (alloc_regression_test) holds.
 #pragma once
@@ -27,24 +18,16 @@
 namespace parsemi {
 namespace simd {
 
-// ---------------------------------------------------------------------------
-// Tier selection.
-// ---------------------------------------------------------------------------
-
-#if !defined(PARSEMI_SIMD_OFF) && defined(__AVX2__)
-#define PARSEMI_SIMD_TIER 2
-#elif !defined(PARSEMI_SIMD_OFF) && defined(__SSE2__)
-#define PARSEMI_SIMD_TIER 1
-#else
-#define PARSEMI_SIMD_TIER 0
-#endif
-
-inline constexpr int kTier = PARSEMI_SIMD_TIER;
-inline constexpr size_t kWidthBits = kTier == 2 ? 256 : kTier == 1 ? 128 : 64;
-inline constexpr bool kEnabled = kTier > 0;
-
+// The compiler's target ISA, read from its predefined macros. A label for
+// reports (the benchmark's build{} object); no code path depends on it.
 inline constexpr const char* isa_name() {
-  return kTier == 2 ? "avx2" : kTier == 1 ? "sse2" : "scalar";
+#if defined(__AVX2__)
+  return "avx2";
+#elif defined(__SSE2__)
+  return "sse2";
+#else
+  return "generic";
+#endif
 }
 
 // copy_records — the pack kernel. For trivially-copyable records one

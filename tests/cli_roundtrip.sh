@@ -75,6 +75,17 @@ grep -q "dispatch=$PLAN_DISPATCH scatter=$PLAN_SCATTER " \
   cat "$DIR/plan.txt" "$DIR/sort_report.txt"; exit 1;
 }
 
+# A budgeted --explain names the scatter path its shards run: the same
+# path as the executed budgeted run's report and as the unbudgeted run.
+"$CLI" --mode sort --in "$DIR/records.bin" --out "$DIR/never_written.bin" \
+       --explain --memory-budget 512K > "$DIR/plan_budget.txt"
+BUDGET_SCATTER=$(awk '$1=="scatter"{print $2}' "$DIR/plan_budget.txt")
+if [ "$BUDGET_SCATTER" != "$PLAN_SCATTER" ] ||
+   ! grep -q "scatter=$BUDGET_SCATTER shards=" "$DIR/sort_budget.txt"; then
+  echo "explain: budgeted plan names a different scatter path"
+  grep '^scatter ' "$DIR/plan_budget.txt"; cat "$DIR/sort_budget.txt"; exit 1
+fi
+
 # A second --explain over the same input must be byte-identical (the
 # planner is deterministic for fixed input, params, and seed).
 "$CLI" --mode sort --in "$DIR/records.bin" --out "$DIR/never_written.bin" \

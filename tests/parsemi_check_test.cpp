@@ -300,7 +300,7 @@ TEST(SimdFallback, RuleIsScopedToSrcAndFixtureNames) {
 }
 
 TEST(SimdFallback, TheRealSimdHeaderIsClean) {
-  // util/simd.h is the contract's author; it must satisfy its own rule.
+  // util/simd.h reads the compiler's ISA macros; it must satisfy the rule.
   std::string path = std::string(PARSEMI_LINT_FIXTURE_DIR) +
                      "/../../src/util/simd.h";
   std::ifstream f(path, std::ios::binary);

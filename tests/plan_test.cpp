@@ -99,6 +99,38 @@ TEST(PlanTest, ShardedRoutePaysOnlyTheShardSample) {
   EXPECT_LE(plan.probe_records, size_t{1} << 16);
 }
 
+TEST(PlanTest, ShardedPlanNamesTheShardsScatterPath) {
+  // The sharded route records the scatter path its shards run: blocked by
+  // default, cas when pinned. The executed shards report the same path.
+  // The budget leaves a few shards of ~24k records each, so every shard
+  // runs the engine rather than the small-input sort.
+  auto in = hashed_input();
+  for (auto [strategy, path] :
+       {std::pair{semisort_params::scatter_strategy::adaptive,
+                  scatter_path::blocked},
+        std::pair{semisort_params::scatter_strategy::cas,
+                  scatter_path::cas}}) {
+    semisort_params params;
+    params.memory_budget_bytes = 16 << 20;
+    params.scatter_with = strategy;
+    semisort_plan plan = plan_semisort_hashed(std::span<const record>(in),
+                                              record_key{}, params);
+    ASSERT_TRUE(plan.sharded);
+    ASSERT_GE(plan.num_shards(), 2u);
+    EXPECT_EQ(plan.scatter, path);
+
+    std::vector<record> out(kN);
+    semisort_stats stats;
+    params.stats = &stats;
+    semisort_hashed(std::span<const record>(in), std::span<record>(out),
+                    record_key{}, params);
+    EXPECT_GE(stats.shards, 2u);
+    EXPECT_EQ(stats.plan.scatter, path);
+    EXPECT_EQ(stats.scatter_path_used, path);
+    EXPECT_TRUE(testing::valid_semisort(out, in));
+  }
+}
+
 TEST(PlanTest, DenseRawKeysPlanTheCountingPath) {
   auto raw = generate_records_raw(kN, {distribution_kind::uniform, 50000}, 5);
   semisort_params params;

@@ -2,9 +2,15 @@
 // groups) must hold for every distribution × size × parameter setting ×
 // worker count combination, including deliberately hostile parameter
 // values. These are the paper's Table 1 workloads shrunk to test scale.
+// The distribution sweep runs both scatter paths (the paper's CAS and the
+// exact-count default) on both sides of the key-domain probe: hashed keys,
+// which the probe must reject, and the raw underlying keys, which it
+// accepts when their domain is small and dense.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -16,7 +22,12 @@
 namespace parsemi {
 namespace {
 
-using Combo = std::tuple<int /*dist index*/, size_t /*n*/, int /*workers*/>;
+// Hashed keys go through generate_records (hash64 of the underlying key);
+// raw keys through generate_records_raw (the underlying key itself).
+enum class key_form { hashed, raw };
+
+using Combo = std::tuple<int /*dist index*/, size_t /*n*/, int /*workers*/,
+                         scatter_path /*requested*/, key_form>;
 
 class SemisortSweep : public ::testing::TestWithParam<Combo> {
  protected:
@@ -25,22 +36,49 @@ class SemisortSweep : public ::testing::TestWithParam<Combo> {
 };
 
 TEST_P(SemisortSweep, ContractHolds) {
-  auto [dist_index, n, workers] = GetParam();
+  auto [dist_index, n, workers, path, form] = GetParam();
   auto spec = table1_distributions()[static_cast<size_t>(dist_index)];
   set_num_workers(workers);
-  auto in = generate_records(n, spec, 1000 + static_cast<uint64_t>(dist_index));
-  auto out = semisort_hashed(std::span<const record>(in));
-  ASSERT_TRUE(testing::records_semisorted(out))
-      << spec.name() << "(" << spec.parameter << ") n=" << n;
-  ASSERT_TRUE(testing::records_permutation(out, in))
-      << spec.name() << "(" << spec.parameter << ") n=" << n;
+  uint64_t seed = 1000 + static_cast<uint64_t>(dist_index);
+  auto in = form == key_form::hashed ? generate_records(n, spec, seed)
+                                     : generate_records_raw(n, spec, seed);
+  semisort_params params;
+  params.scatter_with = path == scatter_path::cas
+                            ? semisort_params::scatter_strategy::cas
+                            : semisort_params::scatter_strategy::blocked;
+  semisort_stats stats;
+  params.stats = &stats;
+  auto out = semisort_hashed(std::span<const record>(in), record_key{}, params);
+  std::string label = spec.name() + "(" + std::to_string(spec.parameter) +
+                      ") n=" + std::to_string(n) + " " + to_string(path) +
+                      (form == key_form::hashed ? " hashed" : " raw");
+  ASSERT_TRUE(testing::records_semisorted(out)) << label;
+  ASSERT_TRUE(testing::records_permutation(out, in)) << label;
+
+  if (n < params.sequential_cutoff) return;  // std::sort; no stats
+  // More than one distinct hashed key spans far beyond any dense domain,
+  // so the probe must reject it (one distinct key IS a dense domain of
+  // width 1).
+  bool distinct = std::any_of(in.begin(), in.end(), [&](const record& r) {
+    return r.key != in[0].key;
+  });
+  if (form == key_form::hashed && distinct) {
+    EXPECT_EQ(stats.dispatch_path_used, dispatch_path::general) << label;
+  }
+  if (stats.dispatch_path_used == dispatch_path::general) {
+    EXPECT_EQ(stats.scatter_path_used, path) << label;
+  }
 }
 
-// All 17 paper distributions at a moderate size, sequential + parallel.
+// All 17 paper distributions at a moderate size, sequential + parallel,
+// on both scatter paths and both key forms.
 INSTANTIATE_TEST_SUITE_P(
     AllDistributions, SemisortSweep,
     ::testing::Combine(::testing::Range(0, 17), ::testing::Values(60000),
-                       ::testing::Values(1, 4)));
+                       ::testing::Values(1, 4),
+                       ::testing::Values(scatter_path::cas,
+                                         scatter_path::blocked),
+                       ::testing::Values(key_form::hashed, key_form::raw)));
 
 // A few distributions across a size ladder (crossing the cutoff, the
 // sample-size boundaries, and non-powers of two).
@@ -49,7 +87,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(0, 7, 16),
                        ::testing::Values(255, 256, 257, 1000, 4097, 30011,
                                          250000),
-                       ::testing::Values(3)));
+                       ::testing::Values(3),
+                       ::testing::Values(scatter_path::cas,
+                                         scatter_path::blocked),
+                       ::testing::Values(key_form::hashed)));
 
 struct ParamCase {
   semisort_params params;

@@ -1,4 +1,4 @@
-// Differential tests for the SIMD abstraction (util/simd.h) and the
+// Differential tests for the record copy (util/simd.h) and the
 // local-sort radix kernel (core/local_sort.h): the record copy must equal
 // an element loop, and the radix kernel must equal std::stable_sort record
 // for record on every bucket shape.
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/local_sort.h"
-#include "test_helpers.h"
 #include "util/rng.h"
 #include "workloads/record.h"
 
@@ -207,10 +206,9 @@ TEST(RadixKernel, RecursionBoundsTheKeyReads) {
   EXPECT_TRUE(same_records(got, stable_reference(in, record_key{})));
 }
 
-TEST(RadixKernel, LocalSortIsStableOnTheAcceleratedTier) {
-  // Through the engine's per-bucket dispatch. On the accelerated tier every
-  // bucket of 2..kMsdStackMax 16-byte records takes the stable kernel; the
-  // forced-scalar tier keeps std::sort, which guarantees key order only.
+TEST(RadixKernel, LocalSortIsStable) {
+  // Through the engine's per-bucket dispatch: every bucket of
+  // 2..kMsdStackMax 16-byte records takes the stable kernel.
   static_assert(internal::radix_sortable<record>);
   static_assert(96 <= internal::kMsdStackMax);
   rng r(71);
@@ -224,13 +222,8 @@ TEST(RadixKernel, LocalSortIsStableOnTheAcceleratedTier) {
       for (size_t i = 0; i < n; ++i) in[i] = {keys[i], i};
       std::vector<record> got = in;
       internal::sort_bucket(std::span<record>(got), get_key, params);
-      auto expect = stable_reference(in, get_key);
-      if constexpr (simd::kEnabled) {
-        ASSERT_TRUE(same_records(got, expect)) << "n " << n;
-      } else {
-        for (size_t i = 0; i < n; ++i) ASSERT_EQ(got[i].key, expect[i].key);
-        ASSERT_TRUE(testing::records_permutation(got, in));
-      }
+      ASSERT_TRUE(same_records(got, stable_reference(in, get_key)))
+          << "n " << n;
     }
   }
 }

@@ -477,15 +477,16 @@ void check_global_scheduler(file_ctx& fc) {
 
 // ---- rule: simd-fallback -------------------------------------------------
 //
-// The SIMD contract (util/simd.h): every vector-intrinsic block must have a
-// scalar sibling so forced-scalar / non-x86 / TSan builds compile the same
-// semantics. The lexer strips preprocessor lines entirely, so this rule
-// scans the raw text line-wise, maintaining the #if conditional stack.
-// Intrinsic uses are attributed to the innermost open conditional; at its
-// #endif the frame is judged: intrinsics in a non-#else branch require an
-// #else, and that #else must itself be intrinsic-free (an #if whose only
-// intrinsics live in the #else is fine — the non-else branch is the scalar
-// sibling). Intrinsics outside any conditional are flagged per line.
+// Every vector-intrinsic block in src/ must have a portable sibling, so
+// non-x86 and TSan builds compile the same semantics (src/ has no
+// intrinsics today; any future block brings its fallback). The lexer
+// strips preprocessor lines entirely, so this rule scans the raw text
+// line-wise, maintaining the #if conditional stack. Intrinsic uses are
+// attributed to the innermost open conditional; at its #endif the frame
+// is judged: intrinsics in a non-#else branch require an #else, and that
+// #else must itself be intrinsic-free (an #if whose only intrinsics live
+// in the #else is fine — the non-else branch is the portable sibling).
+// Intrinsics outside any conditional are flagged per line.
 // Scoped to src/ (and bare fixture names): tests and benches may poke at
 // intrinsics directly.
 void check_simd_fallback(std::string_view text, file_ctx& fc) {
@@ -572,13 +573,13 @@ void check_simd_fallback(std::string_view text, file_ctx& fc) {
             fc.add(rule::simd_fallback, f.if_line,
                    "intrinsic block guarded at line " +
                        std::to_string(f.if_line) +
-                       " has no #else — add the bit-exact scalar fallback "
-                       "(see util/simd.h's dispatch contract)");
+                       " has no #else — add a bit-exact portable fallback "
+                       "for non-x86 and TSan builds");
           } else if (f.intrinsics_in_if && f.intrinsics_in_else) {
             fc.add(rule::simd_fallback, f.if_line,
                    "every branch of the conditional at line " +
                        std::to_string(f.if_line) +
-                       " uses intrinsics — the #else must be the scalar "
+                       " uses intrinsics — the #else must be the portable "
                        "fallback");
           }
         }
@@ -586,8 +587,9 @@ void check_simd_fallback(std::string_view text, file_ctx& fc) {
     } else if (uses_intrinsic(code)) {
       if (stack.empty()) {
         fc.add(rule::simd_fallback, line_no,
-               "vector intrinsic outside any #if guard — wrap it in a "
-               "tier conditional with a scalar #else (util/simd.h)");
+               "vector intrinsic outside any #if guard — wrap it in an "
+               "ISA conditional (e.g. #if defined(__AVX2__)) with a "
+               "portable #else");
       } else if (stack.back().in_else) {
         stack.back().intrinsics_in_else = true;
       } else {

@@ -64,9 +64,10 @@
 //                      cheap to build, reusable, and serializable.
 //   simd-fallback      a preprocessor-guarded block in src/ that uses
 //                      vector intrinsics (_mm*/__m128/__m256/__m512) must
-//                      have a sibling #else branch free of intrinsics —
-//                      the bit-exact scalar fallback util/simd.h promises.
-//                      Intrinsics outside any #if are flagged per line.
+//                      have a sibling #else branch free of intrinsics — a
+//                      bit-exact portable fallback, so non-x86 and TSan
+//                      builds compile the same semantics. Intrinsics
+//                      outside any #if are flagged per line.
 //
 // Waiver syntax, on the finding's line or the line above:
 //   // parsemi-check: allow(<rule>[, <rule>...]) -- <reason>
