@@ -1,8 +1,12 @@
 // Shared driver for the Table 2 / Table 3 phase-breakdown benches
-// (and Figure 3, which plots the same data as percentages).
+// (and Figure 3, which plots the same data as percentages). Each run
+// prints two tables: the default route (exact-count scatter, four laps)
+// and the route pinned to the paper's CAS scatter (its five phases, with
+// the Phase 5 pack).
 #pragma once
 
 #include <functional>
+#include <utility>
 
 #include "common.h"
 
@@ -32,11 +36,12 @@ inline int run_breakdown(
   // run with stats off, so the table holds only the algorithm's phases:
   // stats would add a "stats" lap and, on the CAS path, one shared atomic
   // per record to the scatter.
-  auto measure = [&](int threads) {
+  auto measure = [&](int threads, semisort_params::scatter_strategy route) {
     set_num_workers(threads);
     std::vector<record> out(in.size());
     semisort_params params;
     params.context = &ctx;
+    params.scatter_with = route;
     phase_timer best;
     double best_total = 1e100;
     for (int r = 0; r < reps; ++r) {
@@ -53,23 +58,31 @@ inline int run_breakdown(
     return best;
   };
 
-  phase_timer seq = measure(1);
-  phase_timer par = measure(max_threads);
+  const std::pair<semisort_params::scatter_strategy, const char*> kRoutes[] =
+      {{semisort_params::scatter_strategy::adaptive,
+        "default route (exact-count scatter)"},
+       {semisort_params::scatter_strategy::cas,
+        "scatter_with = cas (the paper's five phases)"}};
+  for (const auto& [route, label] : kRoutes) {
+    phase_timer seq = measure(1, route);
+    phase_timer par = measure(max_threads, route);
 
-  ascii_table table({"phase", "seq time(s)", "seq %",
-                     "T" + std::to_string(max_threads) + " time(s)",
-                     "T" + std::to_string(max_threads) + " %", "speedup"});
-  for (size_t i = 0; i < seq.phases().size(); ++i) {
-    auto& [name, seq_t] = seq.phases()[i];
-    double par_t = par.phases()[i].second;
-    table.add_row({name, fmt(seq_t, 3), fmt(100 * seq_t / seq.total(), 2),
-                   fmt(par_t, 3), fmt(100 * par_t / par.total(), 2),
-                   fmt(seq_t / par_t, 2)});
+    ascii_table table({"phase", "seq time(s)", "seq %",
+                       "T" + std::to_string(max_threads) + " time(s)",
+                       "T" + std::to_string(max_threads) + " %", "speedup"});
+    for (size_t i = 0; i < seq.phases().size(); ++i) {
+      auto& [name, seq_t] = seq.phases()[i];
+      double par_t = par.phases()[i].second;
+      table.add_row({name, fmt(seq_t, 3), fmt(100 * seq_t / seq.total(), 2),
+                     fmt(par_t, 3), fmt(100 * par_t / par.total(), 2),
+                     fmt(seq_t / par_t, 2)});
+    }
+    table.add_row({"TOTAL", fmt(seq.total(), 3), "100.00",
+                   fmt(par.total(), 3), "100.00",
+                   fmt(seq.total() / par.total(), 2)});
+    std::printf("%s:\n%s\n", label, table.to_string().c_str());
+    if (args.has("csv")) std::printf("%s\n", table.to_csv().c_str());
   }
-  table.add_row({"TOTAL", fmt(seq.total(), 3), "100.00", fmt(par.total(), 3),
-                 "100.00", fmt(seq.total() / par.total(), 2)});
-  std::printf("%s\n", table.to_string().c_str());
-  if (args.has("csv")) std::printf("%s\n", table.to_csv().c_str());
   std::printf("%s", shape_note);
   return 0;
 }

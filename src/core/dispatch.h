@@ -15,11 +15,11 @@
 //     counting sort).
 //
 // Selection mirrors the Phase 3 scatter precedent (core/scatter.h):
-// the PARSEMI_DISPATCH_PATH environment variable beats
 // semisort_params::dispatch_with beats the adaptive default, and the path
 // actually taken is recorded in semisort_stats::dispatch_path_used. A
-// forced counting request whose key domain turns out ineligible falls back to the general pipeline — recorded as general with
-// key_domain_width == 0, never a wrong answer.
+// forced counting request whose key domain turns out ineligible falls back
+// to the general pipeline — recorded as general with key_domain_width == 0,
+// never a wrong answer.
 //
 // Since the plan/execute split (ISSUE 10) the probe and the decision for
 // semisort calls live in the planner (core/planner.h); this header
@@ -38,7 +38,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <utility>
 
@@ -50,36 +49,9 @@
 #include "primitives/pack.h"
 #include "primitives/scan.h"
 #include "scheduler/scheduler.h"
-#include "util/env.h"
 
 namespace parsemi {
 namespace internal {
-
-// PARSEMI_DISPATCH_PATH override — same contract as PARSEMI_SCATTER_PATH:
-// "general" / "counting" force that strategy; "adaptive" and unknown
-// values fall through to the params knob. env_cstr never
-// allocates, so the per-call check keeps the zero-heap steady state.
-inline bool dispatch_strategy_from_env(
-    semisort_params::dispatch_strategy& out) {
-  const char* v = env_cstr("PARSEMI_DISPATCH_PATH");
-  if (v == nullptr) return false;
-  if (std::strcmp(v, "general") == 0) {
-    out = semisort_params::dispatch_strategy::general;
-    return true;
-  }
-  if (std::strcmp(v, "counting") == 0) {
-    out = semisort_params::dispatch_strategy::counting;
-    return true;
-  }
-  return false;
-}
-
-inline semisort_params::dispatch_strategy resolve_dispatch_strategy(
-    const semisort_params& params) {
-  semisort_params::dispatch_strategy forced;
-  if (dispatch_strategy_from_env(forced)) return forced;
-  return params.dispatch_with;
-}
 
 // One stable counting pass over `width` buckets (distribute_stable,
 // primitives/counting_sort.h) in its own arena frame, so a two-pass
@@ -181,9 +153,8 @@ template <typename K, typename Result>
 bool try_dispatch_count_by_key(std::span<const K> keys, Result& out,
                                const semisort_params& params,
                                pipeline_context& ctx) {
-  using strategy = semisort_params::dispatch_strategy;
-  strategy s = resolve_dispatch_strategy(params);
-  if (s == strategy::general) return false;
+  if (params.dispatch_with == semisort_params::dispatch_strategy::general)
+    return false;
   size_t n = keys.size();
   key_domain dom = probe_key_domain(
       n, [&](size_t i) { return to_ordered_u64(keys[i]); }, ctx);
@@ -259,9 +230,8 @@ template <typename Record, typename GetKey, typename Result>
 bool try_dispatch_group_by_index(std::span<const Record> in, GetKey&& get_key,
                                  const semisort_params& params, Result& result,
                                  pipeline_context& ctx) {
-  using strategy = semisort_params::dispatch_strategy;
-  strategy s = resolve_dispatch_strategy(params);
-  if (s == strategy::general) return false;
+  if (params.dispatch_with == semisort_params::dispatch_strategy::general)
+    return false;
   size_t n = in.size();
   key_domain dom = probe_key_domain(
       n, [&](size_t i) { return get_key(in[i]); }, ctx);

@@ -65,10 +65,10 @@ struct semisort_plan {
   // so the plan needs no extra scan, and recorded on every route: the
   // general pipeline runs it, a sharded plan's shards run it, and a
   // counting plan falls back to it when a reused plan's domain misses the
-  // keys. Forced strategies (params / PARSEMI_SCATTER_PATH / random
-  // probing) land here verbatim. predicted_buckets (general pipeline
-  // only) — n·p / light_bucket_samples merged light buckets, capped at
-  // num_hash_ranges — is reported, not routed on.
+  // keys. Forced strategies (params.scatter_with / random probing) land
+  // here verbatim. predicted_buckets (general pipeline only) — n·p /
+  // light_bucket_samples merged light buckets, capped at num_hash_ranges —
+  // is reported, not routed on.
   scatter_path scatter = scatter_path::cas;
   size_t predicted_buckets = 0;
 

@@ -310,7 +310,7 @@ bool semisort_attempt(std::span<const Record> in, std::span<Record> out,
 
   // Phase 3 — scatter.
   scatter_storage<Record> storage(plan.total_slots, base.split(2).next() | 1,
-                                  &ctx);
+                                  ctx);
   scatter_probe_stats probe;
   scatter_result result =
       scatter_records(in, storage, plan, get_key, params, base.split(3),

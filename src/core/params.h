@@ -215,10 +215,8 @@ struct semisort_params {
   // Phase 3 placement engine. `adaptive` takes the exact-count `blocked`
   // path (core/scatter.h's choose_scatter_path); `cas` pins the paper's
   // CAS scatter as the reference ablation, `blocked` pins exact-count.
-  // The PARSEMI_SCATTER_PATH environment variable (cas / blocked /
-  // adaptive) overrides this knob without recompiling. `probing` applies to the CAS path only;
-  // requesting random probing pins the adaptive choice to CAS so the
-  // ablation measures what it names.
+  // `probing` applies to the CAS path only; requesting random probing pins
+  // the adaptive choice to CAS so the ablation measures what it names.
   enum class scatter_strategy : uint8_t { adaptive, cas, blocked };
   scatter_strategy scatter_with = scatter_strategy::adaptive;
 
@@ -228,9 +226,7 @@ struct semisort_params {
   // `general` pins the paper's pipeline (no probe); `counting` forces the
   // integer fast path, falling back to general — recorded in stats as
   // dispatch_path_used == general with key_domain_width == 0 — when the
-  // domain is ineligible. The PARSEMI_DISPATCH_PATH environment variable
-  // (general / counting / adaptive) overrides this knob without
-  // recompiling, mirroring PARSEMI_SCATTER_PATH.
+  // domain is ineligible.
   enum class dispatch_strategy : uint8_t { adaptive, general, counting };
   dispatch_strategy dispatch_with = dispatch_strategy::adaptive;
 

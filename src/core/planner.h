@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <cstring>
 
-#include "core/dispatch.h"
 #include "core/exec_plan.h"
 #include "core/key_domain.h"
 #include "core/params.h"
@@ -155,10 +154,8 @@ template <typename Record, typename GetKey>
 void plan_in_memory(std::span<const Record> in, GetKey&& get_key,
                     const semisort_params& params, semisort_plan& plan,
                     pipeline_context& ctx) {
-  using strategy = semisort_params::dispatch_strategy;
   size_t n = in.size();
-  strategy s = resolve_dispatch_strategy(params);
-  if (s != strategy::general) {
+  if (params.dispatch_with != semisort_params::dispatch_strategy::general) {
     size_t read = 0;
     key_domain dom = probe_key_domain(
         n, [&](size_t i) { return get_key(in[i]); }, ctx, &read);

@@ -17,8 +17,7 @@
 //     needs the Phase 5 pack, and an overflow restarts the attempt.
 //
 // choose_scatter_path picks blocked for every input (CAS only when pinned
-// or under random probing); semisort_params::scatter_with pins one, and the PARSEMI_SCATTER_PATH
-// environment variable overrides both (ablation without recompiling).
+// or under random probing); semisort_params::scatter_with pins one.
 //
 // Slot claiming on the CAS path has two modes:
 //   * key-CAS (the paper's): for standard-layout records whose first 8
@@ -37,7 +36,6 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <span>
 #include <type_traits>
 
@@ -45,9 +43,7 @@
 #include "core/params.h"
 #include "core/pipeline_context.h"
 #include "primitives/counting_sort.h"
-#include "util/default_init_buffer.h"
 #include "scheduler/scheduler.h"
-#include "util/env.h"
 #include "util/rng.h"
 
 namespace parsemi {
@@ -71,15 +67,14 @@ constexpr bool key_cas_eligible() {
 }  // namespace internal
 
 // The CAS path's bucket backing array plus occupancy metadata for one run.
-// With a pipeline_context the (large) slot array and flag bytes are served
-// from its arena — repeated semisorts then skip both the allocation and its
-// first-touch page faults; without one the storage is owned (one fresh
-// allocation per run, as before the arena).
+// The (large) slot array and flag bytes are served from the call's arena,
+// so repeated semisorts skip both the allocation and its first-touch page
+// faults.
 template <typename Record>
 struct scatter_storage {
   static constexpr bool kKeyCas = internal::key_cas_eligible<Record>();
 
-  // Slot array view: backed by owned_ or by the context's arena.
+  // Slot array view into the context's arena.
   struct slot_view {
     Record* ptr = nullptr;
     size_t count = 0;
@@ -92,24 +87,17 @@ struct scatter_storage {
   uint8_t* flags = nullptr;  // used only when !kKeyCas; atomic_ref-accessed
   uint64_t sentinel = 0;
 
-  explicit scatter_storage(size_t total_slots, uint64_t sentinel_value,
-                           pipeline_context* ctx = nullptr)
-      : sentinel(sentinel_value),
-        owned_(ctx != nullptr ? 0 : total_slots) {
-    slots.ptr =
-        ctx != nullptr ? ctx->scratch.alloc<Record>(total_slots) : owned_.data();
+  scatter_storage(size_t total_slots, uint64_t sentinel_value,
+                  pipeline_context& ctx)
+      : sentinel(sentinel_value) {
+    slots.ptr = ctx.scratch.alloc<Record>(total_slots);
     slots.count = total_slots;
     if constexpr (kKeyCas) {
       // Only the key words need initializing; payload bytes are written by
       // the claiming CAS's winner before anyone reads them.
       parallel_for(0, total_slots, [&](size_t i) { slots[i].key = sentinel; });
     } else {
-      if (ctx != nullptr) {
-        flags = ctx->scratch.alloc<uint8_t>(total_slots);
-      } else {
-        owned_flags_ = std::make_unique_for_overwrite<uint8_t[]>(total_slots);
-        flags = owned_flags_.get();
-      }
+      flags = ctx.scratch.alloc<uint8_t>(total_slots);
       parallel_for(0, total_slots, [&](size_t i) {
         flag_at(i).store(0, std::memory_order_relaxed);
       });
@@ -117,9 +105,6 @@ struct scatter_storage {
   }
 
  private:
-  internal::default_init_buffer<Record> owned_;
-  std::unique_ptr<uint8_t[]> owned_flags_;
-
   std::atomic_ref<uint8_t> flag_at(size_t i) const {
     return std::atomic_ref<uint8_t>(flags[i]);
   }
@@ -291,30 +276,12 @@ std::span<size_t> scatter_exact(std::span<const Record> in,
 
 // --- path selection --------------------------------------------------------
 
-namespace internal {
-
-// PARSEMI_SCATTER_PATH=cas|blocked forces a path; "adaptive" or anything
-// unrecognized falls through to params. getenv only — no allocation (the
-// zero-heap steady state covers this check).
-inline bool scatter_path_from_env(scatter_path& out) {
-  const char* v = env_cstr("PARSEMI_SCATTER_PATH");
-  if (v == nullptr) return false;
-  if (std::strcmp(v, "cas") == 0) return out = scatter_path::cas, true;
-  if (std::strcmp(v, "blocked") == 0)
-    return out = scatter_path::blocked, true;
-  return false;
-}
-
-}  // namespace internal
-
-// Picks the Phase 3 path for one run. Precedence: PARSEMI_SCATTER_PATH env
-// override, then params.scatter_with; `adaptive` takes the exact-count
-// path at every n and bucket count (it measured faster than CAS from
-// n = 2^10 up — EXPERIMENTS.md, "Exact-count distribution"). Random probing
-// pins CAS — the probing ablation only exists there.
+// Picks the Phase 3 path for one run. params.scatter_with pins a path;
+// `adaptive` takes the exact-count path at every n and bucket count (it
+// measured faster than CAS from n = 2^10 up — EXPERIMENTS.md, "Exact-count
+// distribution"). Random probing pins CAS — the probing ablation only
+// exists there.
 inline scatter_path choose_scatter_path(const semisort_params& params) {
-  scatter_path forced;
-  if (internal::scatter_path_from_env(forced)) return forced;
   switch (params.scatter_with) {
     case semisort_params::scatter_strategy::cas: return scatter_path::cas;
     case semisort_params::scatter_strategy::blocked:

@@ -1,14 +1,12 @@
-// Parallel histogram over a small integer range — the counting phase of
-// the stable counting sort exposed as its own primitive (per-block counts,
-// then a column reduction).
+// Parallel histogram over a small integer range — the counting pass of the
+// stable distribution kernel (primitives/counting_sort.h) and of
+// count_by_key's offset path (core/dispatch.h): per-block counts, which the
+// caller reduces or scans by column.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <span>
-#include <vector>
 
-#include "primitives/scan.h"
 #include "scheduler/scheduler.h"
 
 namespace parsemi {
@@ -52,31 +50,6 @@ void histogram_blocks(size_t n, size_t block, size_t num_buckets,
     }
     for (; i < hi; ++i) local[key(i)]++;
   });
-}
-
-// Histogram of raw index-derived keys: counts[k] = |{ i : key(i) == k }|.
-template <typename KeyFn>
-std::vector<size_t> histogram_index(size_t n, size_t num_buckets,
-                                    KeyFn&& key) {
-  size_t block = histogram_block_size(n, num_buckets);
-  size_t num_blocks = histogram_num_blocks(n, block);
-  std::vector<size_t> counts(num_buckets * num_blocks);
-  histogram_blocks(n, block, num_buckets, counts.data(), key);
-  std::vector<size_t> totals(num_buckets, 0);
-  parallel_for(0, num_buckets, [&](size_t k) {
-    size_t sum = 0;
-    for (size_t b = 0; b < num_blocks; ++b) sum += counts[b * num_buckets + k];
-    totals[k] = sum;
-  });
-  return totals;
-}
-
-// counts[k] = |{ i : key(a[i]) == k }| for k in [0, num_buckets).
-template <typename T, typename KeyFn>
-std::vector<size_t> histogram(std::span<const T> a, size_t num_buckets,
-                              KeyFn&& key) {
-  return histogram_index(a.size(), num_buckets,
-                         [&](size_t i) { return key(a[i]); });
 }
 
 }  // namespace parsemi

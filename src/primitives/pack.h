@@ -1,4 +1,4 @@
-// Parallel pack (filter / compaction) — §2 of the paper's building blocks.
+// Parallel pack (compaction) — §2 of the paper's building blocks.
 //
 // pack(A, flags) keeps the elements of A whose flag is true, preserving
 // their relative order. Implemented as per-block counts, a scan over block
@@ -110,12 +110,6 @@ std::span<Index> pack_index_arena(size_t n, Pred&& pred, arena& scratch) {
       if (pred(i)) out[pos++] = static_cast<Index>(i);
   });
   return out;
-}
-
-// Filter by a predicate on the element value (convenience overload).
-template <typename T, typename Pred>
-std::vector<T> filter(std::span<const T> a, Pred&& pred) {
-  return pack(a, [&](size_t i) { return pred(a[i]); });
 }
 
 }  // namespace parsemi

@@ -101,36 +101,6 @@ T scan_exclusive_strided(T* a, size_t count, size_t stride, T init = T{}) {
   return running;
 }
 
-// Inclusive in-place scan: a[i] becomes init + sum of a[0..i].
-// Returns the total.
-template <typename T>
-T scan_inclusive_inplace(std::span<T> a, T init = T{}) {
-  size_t n = a.size();
-  if (n == 0) return init;
-  size_t block = internal::scan_block_size(n);
-  size_t num_blocks = (n + block - 1) / block;
-  std::vector<T> sums(num_blocks);
-  parallel_for_blocks(n, block, [&](size_t b, size_t lo, size_t hi) {
-    T s{};
-    for (size_t i = lo; i < hi; ++i) s += a[i];
-    sums[b] = s;
-  });
-  T running = init;
-  for (size_t b = 0; b < num_blocks; ++b) {
-    T next = running + sums[b];
-    sums[b] = running;
-    running = next;
-  }
-  parallel_for_blocks(n, block, [&](size_t b, size_t lo, size_t hi) {
-    T acc = sums[b];
-    for (size_t i = lo; i < hi; ++i) {
-      acc += a[i];
-      a[i] = acc;
-    }
-  });
-  return running;
-}
-
 // Parallel reduction with +.
 template <typename T>
 T reduce(std::span<const T> a, T init = T{}) {

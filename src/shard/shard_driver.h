@@ -55,8 +55,10 @@ namespace internal {
 
 // Folds one shard's engine counters into the call-level aggregate: counts
 // sum, histogram bins sum, probe/scratch maxima take the max, and the
-// path-choice fields report the last shard that ran (shards see the same
-// distribution family, so they almost always agree).
+// path-choice fields report the last shard that ran the engine (shards see
+// the same distribution family, so they almost always agree). A shard
+// below sequential_cutoff is sorted without touching its stats (n stays 0)
+// and leaves those fields alone.
 inline void accumulate_shard_stats(semisort_stats& agg,
                                    const semisort_stats& s) {
   agg.sample_size += s.sample_size;
@@ -73,6 +75,7 @@ inline void accumulate_shard_stats(semisort_stats& agg,
   agg.max_probe = std::max(agg.max_probe, s.max_probe);
   agg.shard_peak_scratch_bytes =
       std::max(agg.shard_peak_scratch_bytes, s.peak_scratch_bytes);
+  if (s.n == 0) return;
   agg.scatter_path_used = s.scatter_path_used;
   agg.dispatch_path_used = s.dispatch_path_used;
   agg.key_domain_width = s.key_domain_width;

@@ -42,7 +42,8 @@ pipeline_state run_through_scatter(size_t n, distribution_spec spec,
   radix_sort_u64(std::span<uint64_t>(sample));
   auto plan = build_bucket_plan(std::span<const uint64_t>(sample), n, params,
                                 params.alpha, test_ctx());
-  scatter_storage<record> storage(plan.total_slots, rng(5).next() | 1);
+  scatter_storage<record> storage(plan.total_slots, rng(5).next() | 1,
+                                  test_ctx());
   auto result = scatter_records(std::span<const record>(in), storage, plan,
                                 record_key{}, params, rng(7));
   EXPECT_EQ(result, scatter_result::ok);

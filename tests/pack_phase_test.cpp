@@ -43,7 +43,8 @@ staged stage_through_phase4(size_t n, distribution_spec spec,
   radix_sort_u64(std::span<uint64_t>(sample));
   auto plan = build_bucket_plan(std::span<const uint64_t>(sample), n, params,
                                 params.alpha, test_ctx());
-  scatter_storage<record> storage(plan.total_slots, rng(5).next() | 1);
+  scatter_storage<record> storage(plan.total_slots, rng(5).next() | 1,
+                                  test_ctx());
   EXPECT_EQ(scatter_records(std::span<const record>(in), storage, plan,
                             record_key{}, params, rng(9)),
             scatter_result::ok);

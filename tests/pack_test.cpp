@@ -1,4 +1,4 @@
-// Tests for the parallel pack / filter / pack_index building blocks.
+// Tests for the parallel pack / pack_index building blocks.
 #include "primitives/pack.h"
 
 #include <gtest/gtest.h>
@@ -64,12 +64,6 @@ TEST(Pack, SingleSurvivorAtEveryPosition) {
     ASSERT_EQ(got.size(), 1u);
     EXPECT_EQ(got[0], keep);
   }
-}
-
-TEST(Filter, ByValuePredicate) {
-  std::vector<int> v = {5, -3, 0, 8, -1, 2};
-  auto got = filter(std::span<const int>(v), [](int x) { return x > 0; });
-  EXPECT_EQ(got, (std::vector<int>{5, 8, 2}));
 }
 
 TEST(PackIndex, BoundaryDetectionPattern) {

@@ -93,22 +93,6 @@ TEST(AtomicsOrder, GoodFixtureIsClean) {
   EXPECT_EQ(hard_total(a), 0);
 }
 
-TEST(AtomicsRationale, InLoopRmwWithoutCommentFlaggedInScatterFiles) {
-  std::string text = fixture("atomics_rationale_scatter_bad.cpp");
-  analysis bad = analyze_source(text, "atomics_rationale_scatter_bad.cpp");
-  EXPECT_EQ(hard_count(bad, rule::atomics_rationale), 1);
-  // The rule keys on the file name: the same text under a neutral name is
-  // clean.
-  analysis neutral = analyze_source(text, "other_file.cpp");
-  EXPECT_EQ(hard_count(neutral, rule::atomics_rationale), 0);
-}
-
-TEST(AtomicsRationale, NearbyCommentSatisfiesTheRule) {
-  analysis a = analyze_source(fixture("atomics_rationale_scatter_good.cpp"),
-                              "atomics_rationale_scatter_good.cpp");
-  EXPECT_EQ(hard_total(a), 0);
-}
-
 TEST(ArenaEscape, EveryEscapeShapeIsFlagged) {
   analysis a = analyze_source(fixture("arena_escape_bad.cpp"),
                               "arena_escape_bad.cpp");
@@ -239,78 +223,6 @@ TEST(ParallelCapture, SanctionedIdiomsAndDegenerateRangesAreClean) {
   EXPECT_EQ(waived, 1);
 }
 
-TEST(NoGlobalScheduler, ShimCallsOutsideSchedulerDirAreFlagged) {
-  analysis a = analyze_source(fixture("no_global_scheduler_bad.cpp"),
-                              "no_global_scheduler_bad.cpp");
-  // scheduler::get(), worker_pool::get(), and the namespace-qualified form.
-  EXPECT_EQ(hard_count(a, rule::no_global_scheduler), 3);
-}
-
-TEST(NoGlobalScheduler, RoutedIdiomsAndWaivedShimCallAreClean) {
-  analysis a = analyze_source(fixture("no_global_scheduler_good.cpp"),
-                              "no_global_scheduler_good.cpp");
-  EXPECT_EQ(hard_total(a), 0);
-  // The compat-test shim call is waived, not silently ignored.
-  int waived = 0;
-  for (const finding& f : a.findings)
-    if (f.waived && f.r == rule::no_global_scheduler) ++waived;
-  EXPECT_EQ(waived, 1);
-}
-
-TEST(NoGlobalScheduler, SchedulerSourcesAreExempt) {
-  // The same violating text under the scheduler's own path is clean: the
-  // shim's definition (and its internal uses) live there by design.
-  std::string text = fixture("no_global_scheduler_bad.cpp");
-  analysis a = analyze_source(text, "src/scheduler/scheduler.h");
-  EXPECT_EQ(hard_count(a, rule::no_global_scheduler), 0);
-}
-
-TEST(SimdFallback, MissingElseAllVectorAndNakedIntrinsicsAreFlagged) {
-  analysis a = analyze_source(fixture("simd_fallback_bad.cpp"),
-                              "simd_fallback_bad.cpp");
-  // No-#else guard, all-branches-vector conditional, naked intrinsic.
-  EXPECT_EQ(hard_count(a, rule::simd_fallback), 3);
-}
-
-TEST(SimdFallback, TieredInvertedNestedAndWaivedShapesAreClean) {
-  analysis a = analyze_source(fixture("simd_fallback_good.cpp"),
-                              "simd_fallback_good.cpp");
-  EXPECT_EQ(hard_total(a), 0);
-  // The naked probe is waived, not silently ignored.
-  int waived = 0;
-  for (const finding& f : a.findings)
-    if (f.waived && f.r == rule::simd_fallback) ++waived;
-  EXPECT_EQ(waived, 1);
-}
-
-TEST(SimdFallback, RuleIsScopedToSrcAndFixtureNames) {
-  // The same violating text under tests/ or bench/ paths is clean — tests
-  // and benches may poke at intrinsics directly — while src/ paths and
-  // bare fixture names are in scope.
-  std::string text = fixture("simd_fallback_bad.cpp");
-  EXPECT_EQ(hard_count(analyze_source(text, "tests/some_test.cpp"),
-                       rule::simd_fallback),
-            0);
-  EXPECT_EQ(hard_count(analyze_source(text, "bench/some_bench.cpp"),
-                       rule::simd_fallback),
-            0);
-  EXPECT_EQ(hard_count(analyze_source(text, "src/util/widget.h"),
-                       rule::simd_fallback),
-            3);
-}
-
-TEST(SimdFallback, TheRealSimdHeaderIsClean) {
-  // util/simd.h reads the compiler's ISA macros; it must satisfy the rule.
-  std::string path = std::string(PARSEMI_LINT_FIXTURE_DIR) +
-                     "/../../src/util/simd.h";
-  std::ifstream f(path, std::ios::binary);
-  ASSERT_TRUE(f.is_open()) << path;
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  analysis a = analyze_source(ss.str(), "src/util/simd.h");
-  EXPECT_EQ(hard_count(a, rule::simd_fallback), 0);
-}
-
 TEST(Waivers, MissingReasonAndUnknownRuleAreFindings) {
   analysis a =
       analyze_source(fixture("waiver_bad.cpp"), "waiver_bad.cpp");
@@ -400,10 +312,6 @@ TEST(SeededViolations, AnalyzerFlagsEachBadFixture) {
       {"arena_escape_bad.cpp", "arena_escape_bad.cpp", rule::arena_escape},
       {"parallel_capture_bad.cpp", "parallel_capture_bad.cpp",
        rule::parallel_capture},
-      {"no_global_scheduler_bad.cpp", "no_global_scheduler_bad.cpp",
-       rule::no_global_scheduler},
-      {"simd_fallback_bad.cpp", "simd_fallback_bad.cpp",
-       rule::simd_fallback},
       {"spill_lifetime_bad.cpp", "src/spill_lifetime_bad.cpp",
        rule::spill_lifetime},
       {"pool_routing_bad.cpp", "src/pool_routing_bad.cpp",

@@ -38,21 +38,6 @@ TEST_P(ScanSizes, ExclusiveMatchesSequential) {
   EXPECT_EQ(got, expected);
 }
 
-TEST_P(ScanSizes, InclusiveMatchesSequential) {
-  size_t n = GetParam();
-  auto v = random_values(n, n * 13 + 5);
-  auto expected = v;
-  uint64_t running = 0;
-  for (size_t i = 0; i < n; ++i) {
-    running += expected[i];
-    expected[i] = running;
-  }
-  auto got = v;
-  uint64_t total = scan_inclusive_inplace(std::span<uint64_t>(got));
-  EXPECT_EQ(total, running);
-  EXPECT_EQ(got, expected);
-}
-
 TEST_P(ScanSizes, ReduceMatchesAccumulate) {
   size_t n = GetParam();
   auto v = random_values(n, n + 99);
@@ -69,13 +54,6 @@ TEST(Scan, ExclusiveWithInit) {
   int total = scan_exclusive_inplace(std::span<int>(v), 100);
   EXPECT_EQ(total, 110);
   EXPECT_EQ(v, (std::vector<int>{100, 101, 103, 106}));
-}
-
-TEST(Scan, InclusiveWithInit) {
-  std::vector<int> v = {1, 2, 3, 4};
-  int total = scan_inclusive_inplace(std::span<int>(v), 10);
-  EXPECT_EQ(total, 20);
-  EXPECT_EQ(v, (std::vector<int>{11, 13, 16, 20}));
 }
 
 TEST(Scan, AllZeros) {

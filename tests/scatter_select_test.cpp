@@ -1,15 +1,13 @@
 // Tier-1 tests for the adaptive scatter-path selection (core/scatter.h):
 // adaptive is exact-count at every size (small n included), end-to-end
-// runs with more than 2^15 and 2^16 buckets, the params override,
-// the PARSEMI_SCATTER_PATH environment override — all asserted both
-// directly against choose_scatter_path and end-to-end through
-// semisort_stats::scatter_path_used — and the per-path telemetry contract
-// (probe histogram only on CAS).
+// runs with more than 2^15 and 2^16 buckets, and the params override —
+// asserted both directly against choose_scatter_path and end-to-end
+// through semisort_stats::scatter_path_used — and the per-path telemetry
+// contract (probe histogram only on CAS).
 #include "core/scatter.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <vector>
 
 #include "core/semisort.h"
@@ -19,19 +17,6 @@
 
 namespace parsemi {
 namespace {
-
-// RAII environment override: PARSEMI_SCATTER_PATH is process-global, so
-// every test that sets it must restore the unset state even on failure.
-class scoped_env {
- public:
-  scoped_env(const char* name, const char* value) : name_(name) {
-    ::setenv(name, value, 1);
-  }
-  ~scoped_env() { ::unsetenv(name_); }
-
- private:
-  const char* name_;
-};
 
 using strategy = semisort_params::scatter_strategy;
 
@@ -134,44 +119,6 @@ TEST(ScatterSelect, ParamsOverrideBeatsHeuristic) {
   EXPECT_EQ(choose_scatter_path(p), scatter_path::cas);
 }
 
-TEST(ScatterSelect, EnvOverrideForcesEachPath) {
-  semisort_params p;
-  p.scatter_with = strategy::cas;  // env must win over the params pin
-  {
-    scoped_env env("PARSEMI_SCATTER_PATH", "blocked");
-    EXPECT_EQ(choose_scatter_path(p), scatter_path::blocked);
-  }
-  p.scatter_with = strategy::blocked;
-  {
-    scoped_env env("PARSEMI_SCATTER_PATH", "cas");
-    EXPECT_EQ(choose_scatter_path(p), scatter_path::cas);
-  }
-  // "adaptive" (and unknown values) fall through to params.
-  {
-    scoped_env env("PARSEMI_SCATTER_PATH", "adaptive");
-    EXPECT_EQ(choose_scatter_path(p), scatter_path::blocked);
-    p.scatter_with = strategy::adaptive;
-    EXPECT_EQ(choose_scatter_path(p), scatter_path::blocked);
-  }
-  {
-    scoped_env env("PARSEMI_SCATTER_PATH", "warp-drive");
-    EXPECT_EQ(choose_scatter_path(p), scatter_path::blocked);
-    p.scatter_with = strategy::cas;
-    EXPECT_EQ(choose_scatter_path(p), scatter_path::cas);
-  }
-}
-
-TEST(ScatterSelect, EnvBufferedFallsThroughToParams) {
-  // "buffered" is not a scatter path: like any unknown value it falls
-  // through to the params pin, then to the adaptive default.
-  scoped_env env("PARSEMI_SCATTER_PATH", "buffered");
-  semisort_params p;
-  p.scatter_with = strategy::cas;
-  EXPECT_EQ(choose_scatter_path(p), scatter_path::cas);
-  p.scatter_with = strategy::adaptive;
-  EXPECT_EQ(choose_scatter_path(p), scatter_path::blocked);
-}
-
 // One semisort run with the given strategy; returns stats and verifies the
 // output contract so a path mix-up can't hide behind a wrong answer.
 semisort_stats run_semisort(const std::vector<record>& in, strategy s) {
@@ -199,14 +146,6 @@ TEST(ScatterSelect, StatsReportChosenPathEndToEnd) {
 
   semisort_stats blocked = run_semisort(in, strategy::blocked);
   EXPECT_EQ(blocked.scatter_path_used, scatter_path::blocked);
-}
-
-TEST(ScatterSelect, EnvOverrideForcesPathEndToEnd) {
-  auto in = generate_records(100'000, {distribution_kind::uniform, 1000}, 22);
-  scoped_env env("PARSEMI_SCATTER_PATH", "blocked");
-  // Even with params pinning CAS, the env override wins.
-  semisort_stats stats = run_semisort(in, strategy::cas);
-  EXPECT_EQ(stats.scatter_path_used, scatter_path::blocked);
 }
 
 TEST(ScatterSelect, TelemetryIsPathConditional) {

@@ -150,7 +150,7 @@ std::pair<scatter_result, std::optional<std::string>> scatter_once(
       return {scatter_result::ok, "exact layout does not end at n"};
     }
   } else {
-    scatter_storage<Record> storage(plan.total_slots, rng(5).next() | 1);
+    scatter_storage<Record> storage(plan.total_slots, rng(5).next() | 1, ctx);
     auto result = scatter_records(std::span<const Record>(in), storage, plan,
                                   get_key, params, rng(7));
     if (result != scatter_result::ok) return {result, std::nullopt};

@@ -81,7 +81,8 @@ template <typename Record, typename GetKey, typename Less>
 void check_scatter(const std::vector<Record>& in, GetKey get_key, Less less,
                    semisort_params params) {
   auto [plan, input] = plan_for(in, get_key, params);
-  scatter_storage<Record> storage(plan.total_slots, rng(5).next() | 1);
+  scatter_storage<Record> storage(plan.total_slots, rng(5).next() | 1,
+                                  test_ctx());
   auto result = scatter_records(std::span<const Record>(input), storage, plan,
                                 get_key, params, rng(7));
   ASSERT_EQ(result, scatter_result::ok);
@@ -221,7 +222,7 @@ TEST(Scatter, SentinelClashDetectedOnCas) {
   in[1234].key = sentinel;
   semisort_params params;
   auto [plan, input] = plan_for(in, record_key{}, params);
-  scatter_storage<record> storage(plan.total_slots, sentinel);
+  scatter_storage<record> storage(plan.total_slots, sentinel, test_ctx());
   EXPECT_EQ(scatter_records(std::span<const record>(input), storage, plan,
                             record_key{}, params, rng(7)),
             scatter_result::sentinel_clash);
@@ -244,7 +245,8 @@ TEST(Scatter, OverflowOnCasButNotOnExactPath) {
   ASSERT_LT(plan.total_slots, 100000u);
 
   auto many = generate_records(100000, {distribution_kind::uniform, 4}, 7);
-  scatter_storage<record> storage(plan.total_slots, rng(5).next() | 1);
+  scatter_storage<record> storage(plan.total_slots, rng(5).next() | 1,
+                                  test_ctx());
   EXPECT_EQ(scatter_records(std::span<const record>(many), storage, plan,
                             record_key{}, params, rng(7)),
             scatter_result::overflow);
@@ -278,7 +280,8 @@ TEST(Scatter, DeterministicPlacementAcrossWorkerCounts) {
 
   auto run_with = [&](int workers) {
     set_num_workers(workers);
-    scatter_storage<record> storage(plan.total_slots, 0x123457ULL);
+    scatter_storage<record> storage(plan.total_slots, 0x123457ULL,
+                                    test_ctx());
     auto result = scatter_records(std::span<const record>(input), storage, plan,
                                   record_key{}, params, rng(7));
     EXPECT_EQ(result, scatter_result::ok);

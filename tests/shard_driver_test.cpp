@@ -175,6 +175,26 @@ TEST(ShardDriver, VectorOverloadSpillsUnderBudget) {
   EXPECT_EQ(stats.spilled_bytes, in.size() * sizeof(record));
 }
 
+TEST(ShardDriver, PathFieldsComeFromShardsThatRanTheEngine) {
+  // A 512 KiB budget is below the scratch model's fixed cost, so the plan
+  // cuts hundreds of tiny shards; many fall below sequential_cutoff and
+  // are sorted without running the engine. The call's path fields must
+  // still name the path the engine shards took, not the stats defaults.
+  auto in = generate_records(120000, {distribution_kind::exponential, 120}, 11);
+  std::vector<record> out(in.size());
+  semisort_params params;
+  semisort_stats stats;
+  params.stats = &stats;
+  params.memory_budget_bytes = size_t{512} << 10;
+  semisort_hashed(std::span<const record>(in), std::span<record>(out),
+                  record_key{}, params);
+  expect_equivalent(out, in);
+  EXPECT_GT(stats.shards, 1u);
+  EXPECT_EQ(stats.plan.scatter, scatter_path::blocked);
+  EXPECT_EQ(stats.scatter_path_used, stats.plan.scatter);
+  EXPECT_EQ(stats.dispatch_path_used, dispatch_path::general);
+}
+
 TEST(ShardDriver, TimingsCoverDriverPhases) {
   auto in = generate_records(120000, {distribution_kind::uniform, 1u << 24}, 10);
   std::vector<record> out(in.size());

@@ -1,9 +1,8 @@
 // parsemi-check lexer — the shared token stream both analysis phases run
 // on. One deliberately small C++ lexer: identifiers, numbers, strings
 // (incl. raw strings), longest-match punctuators. Comments are stripped
-// into a per-line side table (waivers and rationale comments are read from
-// there) and preprocessor lines are skipped entirely (the simd-fallback
-// rule keeps its own directive stack over the raw text).
+// into a per-line side table (waivers are read from there) and preprocessor
+// lines are skipped entirely.
 #pragma once
 
 #include <cstdint>

@@ -42,7 +42,6 @@ const std::set<std::string>& atomic_member_ops() {
 
 struct file_ctx {
   std::string path;
-  std::string fname;  // basename, for file-scoped rules
   const lexed* lx = nullptr;
   std::vector<finding>* out = nullptr;
 
@@ -51,10 +50,6 @@ struct file_ctx {
   // scan).
   std::set<std::string> atomic_names;
   std::set<size_t> atomic_decl_tokens;
-
-  // Loop depth per token index (for/while/do bodies, braced or single
-  // statement).
-  std::vector<int> loop_depth;
 
   void add(rule r, int line, std::string msg) {
     out->push_back({r, path, line, std::move(msg), false, {}});
@@ -88,65 +83,10 @@ void collect_atomic_decls(file_ctx& fc) {
   }
 }
 
-// Fill fc.loop_depth: +1 inside every for/while/do body. Braced bodies
-// nest via a brace stack; unbraced bodies extend to the next ';' at the
-// loop's paren depth.
-void compute_loop_depth(file_ctx& fc) {
-  const auto& toks = fc.lx->tokens;
-  fc.loop_depth.assign(toks.size(), 0);
-  struct frame {
-    bool is_loop;
-  };
-  std::vector<frame> braces;
-  int depth = 0;
-  // Pending loop header: we saw for/while and are waiting for the body.
-  int pending = 0;           // how many loop headers await a body
-  int header_parens = 0;     // paren depth inside the pending header
-  int unbraced = 0;          // active unbraced loop bodies (until ';')
-  for (size_t i = 0; i < toks.size(); ++i) {
-    const token& t = toks[i];
-    if (is_ident(t) && (t.text == "for" || t.text == "while")) {
-      // `while` of a do-while also matches; its "body" is the condition,
-      // which ends at ';' — harmless.
-      ++pending;
-      header_parens = 0;
-    } else if (is_ident(t) && t.text == "do") {
-      ++pending;
-      header_parens = 0;
-    } else if (pending > 0 && is(t, "(")) {
-      ++header_parens;
-    } else if (pending > 0 && is(t, ")")) {
-      --header_parens;
-    } else if (is(t, "{")) {
-      bool body = pending > 0 && header_parens == 0;
-      if (body) --pending;
-      braces.push_back({body});
-      if (body) ++depth;
-    } else if (is(t, "}")) {
-      if (!braces.empty()) {
-        if (braces.back().is_loop) --depth;
-        braces.pop_back();
-      }
-    } else if (pending > 0 && header_parens == 0 && is(t, ";")) {
-      // `for (...) stmt;` — the pending loop had a one-statement body
-      // that just ended. (Also catches `do ... while (...);`.)
-      --pending;
-      if (unbraced > 0) --unbraced;
-    } else if (pending > 0 && header_parens == 0 && !is(t, "(")) {
-      // First body token of an unbraced loop.
-      if (unbraced < pending) unbraced = pending;
-    }
-    fc.loop_depth[i] = depth + unbraced;
-  }
-}
-
-// ---- rule: atomics-order / atomics-rationale -----------------------------
+// ---- rule: atomics-order -------------------------------------------------
 
 void check_atomics(file_ctx& fc) {
   const auto& toks = fc.lx->tokens;
-  const bool rationale_scope =
-      fc.fname.find("scatter") != std::string::npos ||
-      fc.fname.find("deque") != std::string::npos;
 
   for (size_t i = 0; i < toks.size(); ++i) {
     const token& t = toks[i];
@@ -159,19 +99,6 @@ void check_atomics(file_ctx& fc) {
         fc.add(rule::atomics_order, t.line,
                "atomic ." + t.text +
                    "() without an explicit memory_order (implicit seq_cst)");
-      } else if (rationale_scope && fc.loop_depth[i] > 0 &&
-                 (t.text == "fetch_add" || t.text == "fetch_sub")) {
-        // Hot-loop RMW in a scatter/deque file: demand a nearby rationale.
-        bool has_comment = false;
-        for (int l = t.line; l >= t.line - 4 && !has_comment; --l) {
-          has_comment = fc.lx->comments.count(l) != 0;
-        }
-        if (!has_comment) {
-          fc.add(rule::atomics_rationale, t.line,
-                 "." + t.text +
-                     "() in a loop in a scatter/deque file needs a rationale "
-                     "comment within the 4 lines above");
-        }
       }
       continue;
     }
@@ -448,160 +375,6 @@ void check_parallel_captures(file_ctx& fc) {
   }
 }
 
-// ---- rule: no-global-scheduler -------------------------------------------
-//
-// `scheduler::get()` / `worker_pool::get()` is the compatibility shim for
-// the pre-pool singleton spelling. Code outside src/scheduler/ that calls
-// it hard-wires the process-wide default pool, which defeats pool routing
-// (params.pool, worker_pool::run) and reintroduces the global the refactor
-// removed — take a `worker_pool&` or call `default_pool()` instead. The
-// scheduler's own sources (and the shim's definition) are exempt.
-void check_global_scheduler(file_ctx& fc) {
-  if (fc.path.find("src/scheduler/") != std::string::npos) return;
-  const auto& toks = fc.lx->tokens;
-  for (size_t i = 0; i + 3 < toks.size(); ++i) {
-    if (!is_ident(toks[i]) ||
-        (toks[i].text != "scheduler" && toks[i].text != "worker_pool")) {
-      continue;
-    }
-    if (!is(toks[i + 1], "::") || !is(toks[i + 2], "get") ||
-        !is(toks[i + 3], "(")) {
-      continue;
-    }
-    fc.add(rule::no_global_scheduler, toks[i].line,
-           "direct call to the deprecated singleton shim '" + toks[i].text +
-               "::get()' — take a worker_pool& (or call default_pool()) so "
-               "the caller stays routable onto instantiable pools");
-  }
-}
-
-// ---- rule: simd-fallback -------------------------------------------------
-//
-// Every vector-intrinsic block in src/ must have a portable sibling, so
-// non-x86 and TSan builds compile the same semantics (src/ has no
-// intrinsics today; any future block brings its fallback). The lexer
-// strips preprocessor lines entirely, so this rule scans the raw text
-// line-wise, maintaining the #if conditional stack. Intrinsic uses are
-// attributed to the innermost open conditional; at its #endif the frame
-// is judged: intrinsics in a non-#else branch require an #else, and that
-// #else must itself be intrinsic-free (an #if whose only intrinsics live
-// in the #else is fine — the non-else branch is the portable sibling).
-// Intrinsics outside any conditional are flagged per line.
-// Scoped to src/ (and bare fixture names): tests and benches may poke at
-// intrinsics directly.
-void check_simd_fallback(std::string_view text, file_ctx& fc) {
-  bool scoped = fc.path.rfind("src/", 0) == 0 ||
-                fc.path.find('/') == std::string::npos;
-  if (!scoped) return;
-
-  // True when `code` (one line, comments already removed) uses a vector
-  // intrinsic: an identifier starting _mm (covers _mm_/_mm256_/_mm512_ and
-  // the masked forms) or one of the vector register types.
-  auto uses_intrinsic = [](const std::string& code) {
-    size_t i = 0;
-    while (i < code.size()) {
-      if (ident_start(code[i]) && (i == 0 || !ident_char(code[i - 1]))) {
-        size_t b = i;
-        while (i < code.size() && ident_char(code[i])) ++i;
-        std::string_view id(code.data() + b, i - b);
-        if (id.rfind("_mm", 0) == 0 || id.rfind("__m128", 0) == 0 ||
-            id.rfind("__m256", 0) == 0 || id.rfind("__m512", 0) == 0) {
-          return true;
-        }
-      } else {
-        ++i;
-      }
-    }
-    return false;
-  };
-
-  struct frame {
-    int if_line = 0;
-    bool in_else = false;
-    bool intrinsics_in_if = false;    // any #if/#elif branch
-    bool intrinsics_in_else = false;
-  };
-  std::vector<frame> stack;
-
-  bool in_block_comment = false;
-  int line_no = 0;
-  size_t pos = 0;
-  while (pos <= text.size()) {
-    size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) eol = text.size();
-    std::string_view raw = text.substr(pos, eol - pos);
-    ++line_no;
-
-    // Strip comments (tracking /* */ across lines; strings are not handled
-    // — intrinsic names inside string literals are not a thing in src/).
-    std::string code;
-    for (size_t i = 0; i < raw.size(); ++i) {
-      if (in_block_comment) {
-        if (raw[i] == '*' && i + 1 < raw.size() && raw[i + 1] == '/') {
-          in_block_comment = false;
-          ++i;
-        }
-        continue;
-      }
-      if (raw[i] == '/' && i + 1 < raw.size() && raw[i + 1] == '/') break;
-      if (raw[i] == '/' && i + 1 < raw.size() && raw[i + 1] == '*') {
-        in_block_comment = true;
-        ++i;
-        continue;
-      }
-      code += raw[i];
-    }
-
-    size_t first = code.find_first_not_of(" \t");
-    if (first != std::string::npos && code[first] == '#') {
-      size_t d = code.find_first_not_of(" \t", first + 1);
-      std::string directive;
-      while (d != std::string::npos && d < code.size() &&
-             ident_char(code[d])) {
-        directive += code[d++];
-      }
-      if (directive == "if" || directive == "ifdef" ||
-          directive == "ifndef") {
-        stack.push_back({line_no});
-      } else if (directive == "else" || directive == "elif") {
-        if (!stack.empty() && directive == "else") stack.back().in_else = true;
-      } else if (directive == "endif") {
-        if (!stack.empty()) {
-          frame f = stack.back();
-          stack.pop_back();
-          if (f.intrinsics_in_if && !f.in_else) {
-            fc.add(rule::simd_fallback, f.if_line,
-                   "intrinsic block guarded at line " +
-                       std::to_string(f.if_line) +
-                       " has no #else — add a bit-exact portable fallback "
-                       "for non-x86 and TSan builds");
-          } else if (f.intrinsics_in_if && f.intrinsics_in_else) {
-            fc.add(rule::simd_fallback, f.if_line,
-                   "every branch of the conditional at line " +
-                       std::to_string(f.if_line) +
-                       " uses intrinsics — the #else must be the portable "
-                       "fallback");
-          }
-        }
-      }
-    } else if (uses_intrinsic(code)) {
-      if (stack.empty()) {
-        fc.add(rule::simd_fallback, line_no,
-               "vector intrinsic outside any #if guard — wrap it in an "
-               "ISA conditional (e.g. #if defined(__AVX2__)) with a "
-               "portable #else");
-      } else if (stack.back().in_else) {
-        stack.back().intrinsics_in_else = true;
-      } else {
-        stack.back().intrinsics_in_if = true;
-      }
-    }
-
-    if (eol == text.size()) break;
-    pos = eol + 1;
-  }
-}
-
 // ---- waivers -------------------------------------------------------------
 
 struct waiver {
@@ -730,11 +503,8 @@ std::string json_escape(std::string_view s) {
 const char* rule_name(rule r) {
   switch (r) {
     case rule::atomics_order: return "atomics-order";
-    case rule::atomics_rationale: return "atomics-rationale";
     case rule::arena_escape: return "arena-escape";
     case rule::parallel_capture: return "parallel-capture";
-    case rule::no_global_scheduler: return "no-global-scheduler";
-    case rule::simd_fallback: return "simd-fallback";
     case rule::spill_lifetime: return "spill-lifetime";
     case rule::pool_routing: return "pool-routing";
     case rule::planner_pure: return "planner-pure";
@@ -770,17 +540,11 @@ project_analysis analyze_project(const std::vector<source_file>& files) {
   for (size_t i = 0; i < files.size(); ++i) {
     file_ctx fc;
     fc.path = files[i].path;
-    size_t slash = fc.path.find_last_of('/');
-    fc.fname =
-        slash == std::string::npos ? fc.path : fc.path.substr(slash + 1);
     fc.lx = &lexes[i];
     fc.out = &all;
     collect_atomic_decls(fc);
-    compute_loop_depth(fc);
     check_atomics(fc);
     check_parallel_captures(fc);
-    check_global_scheduler(fc);
-    check_simd_fallback(files[i].text, fc);
     waivers_by_file[fc.path] = parse_waivers(lexes[i], fc.path, all);
   }
 

@@ -12,9 +12,6 @@
 //                      memory_order; operator forms (++, +=, =) on
 //                      declared atomics are implicit seq_cst and always
 //                      flagged.
-//   atomics-rationale  a fetch_add/fetch_sub lexically inside a loop in a
-//                      scatter/deque file must carry a nearby comment
-//                      saying why the hot-loop RMW is sound/required.
 //   arena-escape       an arena-bound pointer/span allocated while an
 //                      arena_scope is active must not flow out — through a
 //                      return value, a member store, or a pointer/span
@@ -48,13 +45,6 @@
 //                      empty/singleton ranges and par_do branches whose
 //                      captured locals are disjoint are exempt (one
 //                      writer, no concurrent reader).
-//   no-global-scheduler
-//                      direct calls to the deprecated singleton accessor
-//                      (`scheduler::get()` / `worker_pool::get()`) outside
-//                      src/scheduler/ — new code takes a `worker_pool&` or
-//                      calls `default_pool()`, so callers stay routable
-//                      onto instantiable pools instead of hard-wiring the
-//                      process-wide one.
 //   planner-pure       a function defined in a planner header
 //                      (src/**/planner.h) must neither open an arena_scope
 //                      nor spawn parallel work — planning decides, it does
@@ -62,12 +52,6 @@
 //                      scratch and parallelism in their home headers;
 //                      keeping the planner itself pure is what makes plans
 //                      cheap to build, reusable, and serializable.
-//   simd-fallback      a preprocessor-guarded block in src/ that uses
-//                      vector intrinsics (_mm*/__m128/__m256/__m512) must
-//                      have a sibling #else branch free of intrinsics — a
-//                      bit-exact portable fallback, so non-x86 and TSan
-//                      builds compile the same semantics. Intrinsics
-//                      outside any #if are flagged per line.
 //
 // Waiver syntax, on the finding's line or the line above:
 //   // parsemi-check: allow(<rule>[, <rule>...]) -- <reason>
@@ -98,17 +82,14 @@ namespace parsemi_check {
 
 enum class rule {
   atomics_order,
-  atomics_rationale,
   arena_escape,
   parallel_capture,
-  no_global_scheduler,
-  simd_fallback,
   spill_lifetime,
   pool_routing,
   planner_pure,
 };
 
-inline constexpr int kNumRules = 9;
+inline constexpr int kNumRules = 6;
 
 const char* rule_name(rule r);
 bool rule_from_name(std::string_view name, rule& out);
