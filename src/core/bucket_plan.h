@@ -128,6 +128,19 @@ inline bool insert_heavy_slot(heavy_slot* slots, size_t size, uint64_t seed,
 
 }  // namespace internal
 
+// The hash-space ranges light keys are partitioned into: num_hash_ranges
+// rounded up to a power of two (at least 2), so a key's range is its top
+// bits.
+inline size_t num_light_ranges(const semisort_params& params) {
+  return std::bit_ceil(std::max<size_t>(2, params.num_hash_ranges));
+}
+
+// The sample keys a merged light bucket collects before it closes: at
+// least δ, so every light bucket can meet the heavy threshold.
+inline size_t light_merge_target(const semisort_params& params) {
+  return std::max(params.delta, params.light_bucket_samples);
+}
+
 // Builds the plan from the sorted sample. `alpha` is passed explicitly so
 // the Las-Vegas retry loop can inflate capacities after an overflow. All
 // plan storage comes from ctx.scratch — the plan dangles once the caller's
@@ -139,7 +152,7 @@ inline bucket_plan build_bucket_plan(std::span<const uint64_t> sorted_sample,
   arena& scratch = ctx.scratch;
   size_t m = sorted_sample.size();
 
-  size_t num_ranges = std::bit_ceil(std::max<size_t>(2, params.num_hash_ranges));
+  size_t num_ranges = num_light_ranges(params);
   plan.range_shift = 64 - std::countr_zero(num_ranges);
   plan.range_to_light_bucket =
       std::span<uint32_t>(scratch.alloc<uint32_t>(num_ranges), num_ranges);
@@ -214,7 +227,7 @@ inline bucket_plan build_bucket_plan(std::span<const uint64_t> sorted_sample,
   // Light buckets: merge adjacent ranges until each bucket saw ≥ δ samples
   // (if enabled); a trailing under-full group is folded into its
   // predecessor so every bucket meets the threshold when possible.
-  size_t merge_target = std::max(params.delta, params.light_bucket_samples);
+  size_t merge_target = light_merge_target(params);
   size_t group_count = 0;
   size_t group_first_range = 0;
   auto close_group = [&](size_t last_range_exclusive) {

@@ -23,16 +23,19 @@
 // parallelism in their home headers.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 
+#include "core/bucket_plan.h"
 #include "core/exec_plan.h"
 #include "core/key_domain.h"
 #include "core/params.h"
 #include "core/pipeline_context.h"
 #include "core/scatter.h"
+#include "primitives/histogram.h"
 #include "scheduler/scheduler.h"
 #include "shard/shard_plan.h"
 #include "util/env.h"
@@ -94,16 +97,18 @@ inline uint64_t fingerprint_params(const semisort_params& p) {
 }
 
 // Expected merged-light-bucket count of a run, from knowns only: the
-// sample has ~n·p keys, merging targets light_bucket_samples of them per
-// bucket, and the range partition caps the total. A reported prediction
-// (plan.predicted_buckets, compared against the real count by the
-// benchmark); it routes nothing.
+// sample has ~n·p keys, merging targets light_merge_target of them per
+// bucket (core/bucket_plan.h), and the range partition caps the total. A
+// reported prediction (plan.predicted_buckets, compared against the real
+// count by the benchmark), and the shard planner's scratch model sizes its
+// bucket tables from it; it routes nothing.
 inline size_t predict_bucket_count(size_t n, const semisort_params& params) {
-  if (!params.merge_light_buckets) return params.num_hash_ranges;
+  size_t ranges = num_light_ranges(params);
+  if (!params.merge_light_buckets) return ranges;
   double sample = static_cast<double>(n) * params.sampling_p;
-  double light = sample / static_cast<double>(params.light_bucket_samples);
+  double light = sample / static_cast<double>(light_merge_target(params));
   size_t est = light < 1.0 ? 1 : static_cast<size_t>(light);
-  return est > params.num_hash_ranges ? params.num_hash_ranges : est;
+  return est > ranges ? ranges : est;
 }
 
 // Worker count of the pool the plan will execute on (params.pool routing
@@ -124,6 +129,105 @@ inline void init_plan_binding(semisort_plan& plan, size_t n,
   plan.scatter = choose_scatter_path(params);
 }
 
+// Scratch-requirement model for one in-memory engine run over the call's
+// params on a given scatter path and worker count — what the shard planner
+// sizes shards against. Each term is an allocation the engine makes from
+// the call's arena, fitted against stats.peak_scratch_bytes (EXPERIMENTS.md,
+// "Budgeted in-place calls at in-memory cost"):
+//   * the sample, n·p keys. Its radix-sort buffer, the same size again, is
+//     freed before the bucket plan, which is always larger, so the peak is
+//     the sample plus the larger of the two;
+//   * the bucket plan: the distinct sample keys' boundaries (≤ n·p), the
+//     heavy-key list (n·p/δ entries), the range tables (num_light_ranges ×
+//     20 B: light-bucket map, per-range sample counts, bucket offsets) and
+//     the heavy table (36 B per heavy key);
+//   * exact-count path: the 16-bit id buffer (2 B per record, below 65,535
+//     buckets) and the (blocks × buckets) count matrix, whose block count
+//     grows with the worker count (histogram_block_size);
+//   * CAS path: α·f(s) bucket slots per record, each a record plus a flag
+//     byte.
+// Bucket counts are estimated, not known: predict_bucket_count's light
+// buckets and n·p/(2δ) heavy keys, half the most a sample can hold.
+//
+// The model counts requested bytes, the arena's high-water mark. The
+// arena's capacity can sit above it (a new block is at least the current
+// total, core/arena.h); EXPERIMENTS.md measures that gap.
+struct scratch_model {
+  semisort_params params{};
+  int workers = 1;
+  scatter_path scatter = scatter_path::blocked;
+
+  // Scratch (arena) bytes one in-memory run over n records needs.
+  size_t estimate_bytes(size_t n, size_t record_bytes) const {
+    auto bytes = [](double x) { return static_cast<size_t>(x); };
+    double samples = static_cast<double>(n) * params.sampling_p;
+    size_t ranges = num_light_ranges(params);
+    size_t heavy = bytes(samples / static_cast<double>(2 * params.delta));
+    size_t light = predict_bucket_count(n, params);
+    size_t buckets = light + heavy;
+
+    size_t sample = 8 * bytes(samples);
+    size_t plan = 8 * bytes(samples) +
+                  16 * bytes(samples / static_cast<double>(params.delta)) +
+                  20 * ranges + (8 + 36) * heavy;
+    size_t scatter_bytes = 0;
+    if (scatter == scatter_path::cas) {
+      // α·f(s) slots per record, measured 1.9–2.8 at the default α and
+      // light_bucket_samples; α scales them.
+      double slots = 3.0 * params.alpha / semisort_params{}.alpha;
+      scatter_bytes = bytes(static_cast<double>(n) * slots *
+                            static_cast<double>(record_bytes + 1)) +
+                      8 * light;
+    } else {
+      size_t block = histogram_block_size(
+          n, buckets, static_cast<size_t>(std::max(workers, 1)));
+      size_t blocks = histogram_num_blocks(n, block);
+      scatter_bytes = 8 * (blocks + 1) * (buckets + 1) +
+                      (buckets < 0xffff ? 2 * n : 0);
+    }
+    return sample + std::max(sample, plan + scatter_bytes);
+  }
+
+  // The scratch charged even for an empty run: the range tables.
+  size_t fixed_bytes() const { return estimate_bytes(0, 0); }
+
+  // Total footprint: resident input + scratch. The planner compares this
+  // against the byte budget to decide whether a call shards at all.
+  size_t footprint_bytes(size_t n, size_t record_bytes) const {
+    return n * record_bytes + estimate_bytes(n, record_bytes);
+  }
+
+  // Largest record count whose footprint fits `budget`, by binary search;
+  // 0 when even the fixed cost does not fit. The footprint grows with n
+  // but for one step down, where the bucket estimate reaches 65,535 and the
+  // id buffer drops out; a budget past that step may get a count below it,
+  // which still fits.
+  size_t records_for_budget(size_t budget, size_t record_bytes) const {
+    size_t lo = 0, hi = budget / std::max<size_t>(record_bytes, 1) + 1;
+    while (hi - lo > 1) {
+      size_t mid = lo + (hi - lo) / 2;
+      if (footprint_bytes(mid, record_bytes) <= budget) lo = mid;
+      else hi = mid;
+    }
+    return footprint_bytes(lo, record_bytes) <= budget ? lo : 0;
+  }
+
+  // The smallest budget shards are sized for: twice the fixed cost. Below
+  // the fixed cost no shard size fits at all, and just above it the
+  // capacity would be a handful of records: thousands of shards, nearly
+  // all below the engine's sequential cutoff. So a budget at or below the
+  // floor is planned as the floor, best-effort like a dominant key's shard
+  // (shard/shard_plan.h); the driver reports the real footprint via
+  // stats.shard_peak_scratch_bytes. The floor keeps the capacity monotone
+  // in the budget.
+  size_t budget_floor() const { return 2 * fixed_bytes(); }
+
+  // Records per shard under `budget`, the floor applied.
+  size_t shard_capacity(size_t budget, size_t record_bytes) const {
+    return records_for_budget(std::max(budget, budget_floor()), record_bytes);
+  }
+};
+
 // Sharded-route planning: when the projected in-memory footprint exceeds
 // the resolved budget, group hash-prefix bins into budget-sized shards
 // (shard/shard_plan.h — a sequential strided sample, this plan's one
@@ -134,14 +238,15 @@ inline void init_plan_binding(semisort_plan& plan, size_t n,
 // behaviour.
 template <typename Record, typename GetKey>
 bool plan_sharded_route(std::span<const Record> in, GetKey&& get_key,
-                        semisort_plan& plan) {
+                        const semisort_params& params, semisort_plan& plan) {
   if (plan.memory_budget == 0) return false;
   size_t n = in.size();
-  if (scratch_model{}.footprint_bytes(n, sizeof(Record)) <=
-      plan.memory_budget)
+  scratch_model model{params, plan.pool_workers, plan.scatter};
+  if (model.footprint_bytes(n, sizeof(Record)) <= plan.memory_budget)
     return false;
   plan.sharded = true;
-  plan.shards = plan_shards(in, get_key, plan.memory_budget, scratch_model{});
+  plan.shards = plan_shards(
+      in, get_key, model.shard_capacity(plan.memory_budget, sizeof(Record)));
   plan.probe_passes = 1;
   plan.probe_records = std::min(n, size_t{1} << 16);  // the strided sample
   return true;

@@ -91,7 +91,7 @@ void semisort_hashed_run(std::span<const Record> in, std::span<Record> out,
     validate_plan_binding(*plan, in.size(), sizeof(Record), params, who);
   } else {
     init_plan_binding(local, in.size(), sizeof(Record), params);
-    if (plan_sharded_route(in, get_key, local)) plan = &local;
+    if (plan_sharded_route(in, get_key, params, local)) plan = &local;
   }
 
   if (plan != nullptr && plan->sharded) {
@@ -134,7 +134,7 @@ semisort_plan plan_semisort_hashed(std::span<const Record> in,
   params.validate();
   semisort_plan plan;
   internal::init_plan_binding(plan, in.size(), sizeof(Record), params);
-  if (internal::plan_sharded_route(in, get_key, plan)) return plan;
+  if (internal::plan_sharded_route(in, get_key, params, plan)) return plan;
   internal::run_with_pool_override(params, [&] {
     internal::context_binding bind(params);
     internal::plan_in_memory(in, get_key, params, plan, bind.ctx());

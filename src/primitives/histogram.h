@@ -12,12 +12,18 @@
 namespace parsemi {
 
 // Block size of the per-block counting pass for n elements over num_buckets
-// bins: at least num_buckets (so the count matrix never exceeds ~n entries)
-// and at least the scheduler's per-worker grain.
-inline size_t histogram_block_size(size_t n, size_t num_buckets) {
-  size_t p = static_cast<size_t>(num_workers());
+// bins on `workers` workers: at least num_buckets (so the count matrix never
+// exceeds ~n entries) and at least the per-worker grain. The second form
+// takes the scheduler's worker count; the shard planner's scratch model
+// (core/planner.h) names the count of the pool a plan will run on.
+inline size_t histogram_block_size(size_t n, size_t num_buckets,
+                                   size_t workers) {
   return std::max<size_t>(std::max<size_t>(num_buckets, 4096),
-                          n / (8 * p) + 1);
+                          n / (8 * workers) + 1);
+}
+inline size_t histogram_block_size(size_t n, size_t num_buckets) {
+  return histogram_block_size(n, num_buckets,
+                              static_cast<size_t>(num_workers()));
 }
 inline size_t histogram_num_blocks(size_t n, size_t block) {
   return n == 0 ? 0 : (n + block - 1) / block;

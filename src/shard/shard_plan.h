@@ -8,8 +8,8 @@
 //
 // The plan combines two inputs, following the splitter-from-sample recipe
 // of Histogram Sort with Sampling (Harsh et al.):
-//   1. the scratch model (core/pipeline_context.h) turns the byte budget
-//      into a per-shard record capacity (input + engine scratch must fit);
+//   1. the scratch model (core/planner.h) turns the byte budget into a
+//      per-shard record capacity (input + engine scratch must fit);
 //   2. a strided sample of key prefixes estimates the records per bin, so
 //      skewed prefixes get their own shard instead of silently blowing the
 //      budget — the cap holds w.h.p., not just for uniform inputs.
@@ -17,8 +17,8 @@
 // bin's estimate would overflow the capacity. A single bin that alone
 // exceeds the capacity still becomes its own shard: one key (one prefix)
 // cannot be split without breaking group contiguity; the budget degrades to
-// best-effort exactly there and the driver reports the real footprint via
-// shard_peak_scratch_bytes.
+// best-effort exactly there (as it does below the model's budget floor)
+// and the driver reports the real footprint via shard_peak_scratch_bytes.
 #pragma once
 
 #include <algorithm>
@@ -27,8 +27,6 @@
 #include <cstdint>
 #include <span>
 #include <vector>
-
-#include "core/pipeline_context.h"
 
 namespace parsemi {
 
@@ -83,24 +81,23 @@ inline std::vector<uint32_t> group_bins(std::span<const size_t> bin_records,
 
 }  // namespace internal
 
-// Builds the plan for semisorting `in` under `budget` bytes of resident
-// input + scratch. Deterministic (strided sample, no rng). num_shards == 1
-// means the whole input fits — or cannot be split (single dominant prefix);
-// either way the caller should run the in-memory engine directly.
+// Builds the plan for semisorting `in` in shards of at most `cap` records
+// (the planner's scratch model turns a byte budget into cap). Deterministic
+// (strided sample, no rng). num_shards == 1 means the whole input fits — or
+// cannot be split (single dominant prefix); either way the caller should
+// run the in-memory engine directly.
 template <typename Record, typename GetKey>
 shard_plan plan_shards(std::span<const Record> in, GetKey&& get_key,
-                       size_t budget, const scratch_model& model) {
+                       size_t cap) {
   shard_plan plan;
   size_t n = in.size();
   if (n == 0) return plan;
-  size_t cap = model.records_for_budget(budget, sizeof(Record));
   if (cap >= n) {
     plan.est_records = {n};
     return plan;
   }
   // Leave 1/8 headroom under the capacity: the bin estimates are sampled,
   // so pack shards slightly loose to keep the real counts under budget.
-  if (cap == 0) cap = 1;
   size_t target = std::max<size_t>(cap - cap / 8, 1);
   size_t required = (n + target - 1) / target;
   plan.prefix_bits = internal::choose_prefix_bits(required);

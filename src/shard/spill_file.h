@@ -25,9 +25,12 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -35,7 +38,60 @@
 
 #include "util/env.h"
 
+#ifndef MADV_POPULATE_WRITE
+#define MADV_POPULATE_WRITE 23  // Linux 5.14; headers older than glibc 2.35
+#endif
+
 namespace parsemi {
+namespace internal {
+
+// Room left under one cgroup's memory limit, read from its directory:
+// `limit` minus `usage` (memory.max and memory.current on cgroup v2,
+// memory.limit_in_bytes and memory.usage_in_bytes on v1). SIZE_MAX when
+// the group sets no limit ("max") or the files cannot be read.
+inline size_t cgroup_level_room(const std::string& dir, const char* limit,
+                                const char* usage) {
+  std::ifstream limit_in(dir + "/" + limit), usage_in(dir + "/" + usage);
+  size_t max = 0, current = 0;
+  if (!(limit_in >> max) || !(usage_in >> current)) return SIZE_MAX;
+  return max > current ? max - current : 0;
+}
+
+// Room left under the memory limits of this process's cgroups: the least
+// over every level from the process's own group up to its hierarchy's
+// root, on the v2 hierarchy and on a v1 memory hierarchy alike. A level
+// whose directory the mount does not show (a container that sees only its
+// own subtree) counts as unlimited. The arguments name /proc/self/cgroup
+// and the cgroup mount, so a test can point them at a fake tree. SIZE_MAX
+// when no limit can be read.
+inline size_t cgroup_memory_room(const char* self = "/proc/self/cgroup",
+                                 const std::string& mount = "/sys/fs/cgroup") {
+  size_t room = SIZE_MAX;
+  std::ifstream in(self);
+  for (std::string line; std::getline(in, line);) {
+    // hierarchy-id:controllers:path, with no controllers on v2.
+    size_t c1 = line.find(':');
+    size_t c2 = c1 == std::string::npos ? c1 : line.find(':', c1 + 1);
+    if (c2 == std::string::npos) continue;
+    bool v2 = c2 == c1 + 1;
+    if (!v2 && line.compare(c1 + 1, c2 - c1 - 1, "memory") != 0) continue;
+    std::string root = v2 ? mount : mount + "/memory";
+    std::string path = line.substr(c2 + 1);
+    for (;;) {
+      room = std::min(room, v2 ? cgroup_level_room(root + path, "memory.max",
+                                                   "memory.current")
+                               : cgroup_level_room(root + path,
+                                                   "memory.limit_in_bytes",
+                                                   "memory.usage_in_bytes"));
+      size_t slash = path.rfind('/');
+      if (path.size() <= 1 || slash == std::string::npos) break;
+      path.resize(slash);
+    }
+  }
+  return room;
+}
+
+}  // namespace internal
 
 class spill_file {
  public:
@@ -70,6 +126,15 @@ class spill_file {
     ::close(fd);
     if (p == MAP_FAILED) fail("mmap", path);
     data_ = static_cast<std::byte*>(p);
+    // The driver writes every byte of the run during its partition. When
+    // the run fits in free memory and under the process's cgroup memory
+    // limits, one call faults its page cache in a batch now, instead of
+    // one write fault per 4 KiB page across the workers later. A larger
+    // run would be written back to disk as zeros before the partition
+    // overwrites it, so it faults lazily. A hint only: kernels before 5.14
+    // reject it with EINVAL, and a full disk already failed at fallocate.
+    if (bytes <= std::min(free_memory_bytes(), internal::cgroup_memory_room()))
+      ::madvise(p, bytes, MADV_POPULATE_WRITE);
   }
 
   ~spill_file() { reset(); }
@@ -117,6 +182,16 @@ class spill_file {
   }
 
  private:
+  // Free physical memory (MemFree, not MemAvailable: page cache that
+  // would have to be reclaimed does not count).
+  static size_t free_memory_bytes() {
+    long pages = ::sysconf(_SC_AVPHYS_PAGES);
+    long page = ::sysconf(_SC_PAGESIZE);
+    return pages > 0 && page > 0
+               ? static_cast<size_t>(pages) * static_cast<size_t>(page)
+               : 0;
+  }
+
   [[noreturn]] static void close_and_fail(int fd, const char* what,
                                          const std::string& path) {
     int saved = errno;

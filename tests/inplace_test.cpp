@@ -88,13 +88,14 @@ TEST(InplaceSemisort, BudgetedInplaceSpillsAndStaysCorrect) {
   semisort_stats stats;
   params.stats = &stats;
   auto data = generate_records(200000, {distribution_kind::uniform, 1u << 26}, 21);
-  // Fixed scratch floor + a quarter of the variable footprint: shards stay
-  // large enough to run the real (parallel) engine, which is what reports
-  // per-shard peak scratch.
-  scratch_model model;
-  size_t variable =
-      model.footprint_bytes(data.size(), sizeof(record)) - model.fixed_bytes;
-  params.memory_budget_bytes = model.fixed_bytes + variable / 4;
+  // The planner's floor (twice the model's fixed cost) + a quarter of the
+  // footprint above it: shards stay large enough to run the real
+  // (parallel) engine, which is what reports per-shard peak scratch.
+  internal::scratch_model model;
+  size_t floor = model.budget_floor();
+  params.memory_budget_bytes =
+      floor +
+      (model.footprint_bytes(data.size(), sizeof(record)) - floor) / 4;
   auto original = data;
   semisort_hashed_inplace(std::span<record>(data), record_key{}, params);
   EXPECT_TRUE(testing::valid_semisort(data, original));

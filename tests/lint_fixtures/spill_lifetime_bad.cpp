@@ -5,6 +5,7 @@ struct byte_span {
   unsigned char* p;
   unsigned long n;
   byte_span first(unsigned long k);
+  unsigned char& operator[](unsigned long i);
 };
 struct spill_file {
   explicit spill_file(unsigned long bytes);
@@ -51,4 +52,18 @@ unsigned long use_after_move(unsigned long bytes) {
   byte_span sp = f.as_span();
   consume(std::move(f));
   return sp.n;  // flagged: ownership (and the mapping) moved away
+}
+
+unsigned long use_after_reset_past_a_branch(unsigned long bytes, bool aliased,
+                                            byte_span out) {
+  spill_file spill(bytes);
+  byte_span part{0, 0};
+  if (aliased) {
+    part = spill.as_span().first(bytes);
+  } else {
+    part = out;  // rebinding in one branch only: the taint stays
+  }
+  spill.reset();
+  part[0] = 1;  // flagged: the if branch may have left part on spill
+  return 0;
 }

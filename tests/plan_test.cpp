@@ -102,8 +102,9 @@ TEST(PlanTest, ShardedRoutePaysOnlyTheShardSample) {
 TEST(PlanTest, ShardedPlanNamesTheShardsScatterPath) {
   // The sharded route records the scatter path its shards run: blocked by
   // default, cas when pinned. The executed shards report the same path.
-  // The budget leaves a few shards of ~24k records each, so every shard
-  // runs the engine rather than the small-input sort.
+  // The budget sits above the planner's floor, at a third of the footprint
+  // above it, so it leaves a few shards of thousands of records each and
+  // every shard runs the engine rather than the small-input sort.
   auto in = hashed_input();
   for (auto [strategy, path] :
        {std::pair{semisort_params::scatter_strategy::adaptive,
@@ -111,8 +112,14 @@ TEST(PlanTest, ShardedPlanNamesTheShardsScatterPath) {
         std::pair{semisort_params::scatter_strategy::cas,
                   scatter_path::cas}}) {
     semisort_params params;
-    params.memory_budget_bytes = 16 << 20;
     params.scatter_with = strategy;
+    semisort_plan unbudgeted = plan_semisort_hashed(
+        std::span<const record>(in), record_key{}, params);
+    internal::scratch_model model{params, unbudgeted.pool_workers,
+                                  unbudgeted.scatter};
+    size_t floor = model.budget_floor();
+    params.memory_budget_bytes =
+        floor + (model.footprint_bytes(kN, sizeof(record)) - floor) / 3;
     semisort_plan plan = plan_semisort_hashed(std::span<const record>(in),
                                               record_key{}, params);
     ASSERT_TRUE(plan.sharded);

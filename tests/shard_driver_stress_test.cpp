@@ -24,25 +24,36 @@ namespace {
 struct shard_config {
   size_t n = 10000;
   size_t dist = 0;       // index into table1_distributions()
-  int budget_step = 0;   // 0 = footprint/64 (max sharding) … 6 = ×budget ≥ fit
+  int budget_step = 0;   // 0 = the floor (max sharding) … 6 = budget ≥ fit
   int entry = 0;         // 0 = copy, 1 = in-place, 2 = vector overload
   int workers = 0;
   uint64_t fuzz_seed = 0;
   uint64_t data_seed = 1;
 };
 
-// Budget ladder: footprint >> budget at step 0 (every shard spills), budget
-// past the footprint at the top step (the driver must decline to shard).
+// Budget ladder above the planner's floor (twice the scratch model's fixed
+// cost; any smaller budget plans the same shards): the floor plus a 64th
+// of the footprint above it at step 0 (max sharding, every shard spills),
+// budget past the footprint at the top step (the driver must decline to
+// shard). Every step below the top must shard, so n is drawn above the
+// floor's shard capacity: smaller inputs fit one floor-sized shard.
+size_t min_sharded_n() {
+  internal::scratch_model model;
+  return model.records_for_budget(model.budget_floor(), sizeof(record)) + 1;
+}
+
 size_t budget_for(const shard_config& c) {
-  size_t footprint =
-      scratch_model{}.footprint_bytes(c.n, sizeof(record));
+  internal::scratch_model model;
+  size_t footprint = model.footprint_bytes(c.n, sizeof(record));
+  size_t floor = model.budget_floor();
   size_t divisor = size_t{64} >> std::min(c.budget_step, 6);  // 64 … 1
-  return divisor == 1 ? footprint * 2 : footprint / divisor;
+  if (divisor == 1) return footprint * 2;
+  return floor + (footprint > floor ? (footprint - floor) / divisor : 0);
 }
 
 shard_config generate(rng& r) {
   shard_config c;
-  c.n = proptest::log_uniform_u64(r, 2000, 120000);
+  c.n = proptest::log_uniform_u64(r, min_sharded_n(), 400000);
   c.dist = r.next_below(table1_distributions().size());
   c.budget_step = static_cast<int>(r.next_below(7));
   c.entry = static_cast<int>(r.next_below(3));
@@ -73,7 +84,7 @@ std::vector<shard_config> shrink(const shard_config& c) {
   if (c.fuzz_seed != 0) with([](shard_config& d) { d.fuzz_seed = 0; });
   if (c.workers != 1) with([](shard_config& d) { d.workers = 1; });
   if (c.entry != 0) with([](shard_config& d) { d.entry = 0; });
-  for (uint64_t nn : proptest::shrink_toward(c.n, 2000)) {
+  for (uint64_t nn : proptest::shrink_toward(c.n, min_sharded_n())) {
     with([nn](shard_config& d) { d.n = nn; });
   }
   // Toward the ends of the ladder: a mid-ladder failure usually simplifies
@@ -81,6 +92,15 @@ std::vector<shard_config> shrink(const shard_config& c) {
   if (c.budget_step != 0) with([](shard_config& d) { d.budget_step = 0; });
   if (c.dist != 0) with([](shard_config& d) { d.dist = 0; });
   return out;
+}
+
+// True when every key shares its top 6 bits: one bin at the planner's
+// coarsest prefix, which no plan of these inputs (at most 8 shards, so 64
+// bins) can split.
+bool one_prefix_bin(std::span<const record> in) {
+  for (const record& r : in)
+    if ((r.key ^ in[0].key) >> 58 != 0) return false;
+  return true;
 }
 
 std::optional<std::string> sharded_equals_unsharded(const shard_config& c) {
@@ -115,6 +135,9 @@ std::optional<std::string> sharded_equals_unsharded(const shard_config& c) {
   if (stats.shards == 0) return "stats.shards never set";
   if (c.budget_step == 6 && stats.shards != 1) {
     return "budget above footprint still sharded";
+  }
+  if (c.budget_step < 6 && stats.shards < 2 && !one_prefix_bin(in)) {
+    return "budget below footprint did not shard";
   }
   if (!testing::records_semisorted(got)) return "output not semisorted";
   if (!testing::records_permutation(got, in)) {
@@ -164,9 +187,9 @@ TEST(ShardDriverStress, EveryTable1DistributionUnderTinyBudget) {
   auto dists = table1_distributions();
   for (size_t d = 0; d < dists.size(); ++d) {
     shard_config c;
-    c.n = 40000;
+    c.n = 200000;  // three floor-sized shards
     c.dist = d;
-    c.budget_step = 1;  // footprint / 32
+    c.budget_step = 1;  // floor + a 32nd of the footprint above it
     c.entry = static_cast<int>(d % 3);
     c.data_seed = 0xD15 + d;
     auto failure = sharded_equals_unsharded(c);
@@ -184,7 +207,7 @@ TEST(ShardDriverStress, SpillUnderSchedFuzz) {
     if (fs != 0 && !sched_fuzz::kCompiledIn) continue;
     sched_fuzz::scoped_enable fuzz(fs);
 
-    size_t n = 60000;
+    size_t n = 200000;  // more than one floor-sized shard
     auto spec = scaled_to(table1_distributions()[0], n);
     auto in = generate_records(n, spec, 0xA11CE + fs);
 
@@ -192,7 +215,7 @@ TEST(ShardDriverStress, SpillUnderSchedFuzz) {
     semisort_stats stats;
     params.stats = &stats;
     params.memory_budget_bytes =
-        scratch_model{}.footprint_bytes(n, sizeof(record)) / 32;
+        internal::scratch_model{}.footprint_bytes(n, sizeof(record)) / 32;
 
     std::vector<record> got = in;
     semisort_hashed_inplace(std::span<record>(got), record_key{}, params);

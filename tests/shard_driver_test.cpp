@@ -30,15 +30,13 @@ void expect_equivalent(std::span<const record> got,
   ASSERT_TRUE(testing::records_permutation(got, in));
 }
 
-// A budget of (fixed scratch floor + variable footprint / divisor): tight
-// enough to shard, generous enough that each shard runs the real parallel
-// engine (budgets below the fixed floor degrade to per-bin micro-shards
-// that the sequential cutoff handles without touching scratch).
+// A budget of (the planner's floor, twice the model's fixed cost, + the
+// footprint above it / divisor): tight enough to shard, generous enough
+// that each shard runs the real parallel engine.
 size_t budget_above_floor(size_t n, size_t divisor) {
-  scratch_model model;
-  size_t variable =
-      model.footprint_bytes(n, sizeof(record)) - model.fixed_bytes;
-  return model.fixed_bytes + variable / divisor;
+  internal::scratch_model model;
+  size_t floor = model.budget_floor();
+  return floor + (model.footprint_bytes(n, sizeof(record)) - floor) / divisor;
 }
 
 TEST(ShardDriver, BudgetedCopyMatchesUnsharded) {
@@ -154,7 +152,8 @@ TEST(ShardDriver, SingleDominantKeyFallsBackInMemory) {
   semisort_stats stats;
   params.stats = &stats;
   params.memory_budget_bytes =
-      scratch_model{}.footprint_bytes(in.size(), sizeof(record)) / 8;
+      internal::scratch_model{}.footprint_bytes(in.size(), sizeof(record)) /
+      8;
   semisort_hashed(std::span<const record>(in), std::span<record>(out),
                   record_key{}, params);
   expect_equivalent(out, in);
@@ -176,16 +175,32 @@ TEST(ShardDriver, VectorOverloadSpillsUnderBudget) {
 }
 
 TEST(ShardDriver, PathFieldsComeFromShardsThatRanTheEngine) {
-  // A 512 KiB budget is below the scratch model's fixed cost, so the plan
-  // cuts hundreds of tiny shards; many fall below sequential_cutoff and
-  // are sorted without running the engine. The call's path fields must
-  // still name the path the engine shards took, not the stats defaults.
-  auto in = generate_records(120000, {distribution_kind::exponential, 120}, 11);
+  // One dominant key in a middle hash-prefix bin, plus a few hundred light
+  // keys spread over every bin. At the floor's shard size the dominant
+  // key's bin is a shard of its own that runs the engine; the light bins
+  // on either side make shards below sequential_cutoff, which are sorted
+  // without running it — the last shard among them. The call's path fields
+  // must still name the path the engine shard took, not the stats
+  // defaults.
+  const uint64_t dominant = (uint64_t{1} << 63) | 12345;
+  std::vector<record> in(100000, record{dominant, 0});
+  for (size_t i = 0; i < in.size(); ++i) in[i].payload = i;
+  for (size_t i = 0; i < 300; ++i)
+    in[i * 331] = record{hash64(i), i};
   std::vector<record> out(in.size());
   semisort_params params;
   semisort_stats stats;
   params.stats = &stats;
   params.memory_budget_bytes = size_t{512} << 10;
+
+  semisort_plan plan =
+      plan_semisort_hashed(std::span<const record>(in), record_key{}, params);
+  std::vector<size_t> shard_records(plan.num_shards(), 0);
+  for (const record& r : in) ++shard_records[plan.shards.shard_of_key(r.key)];
+  EXPECT_GE(*std::max_element(shard_records.begin(), shard_records.end()),
+            params.sequential_cutoff);
+  EXPECT_LT(shard_records.back(), params.sequential_cutoff);
+
   semisort_hashed(std::span<const record>(in), std::span<record>(out),
                   record_key{}, params);
   expect_equivalent(out, in);
@@ -195,6 +210,43 @@ TEST(ShardDriver, PathFieldsComeFromShardsThatRanTheEngine) {
   EXPECT_EQ(stats.dispatch_path_used, dispatch_path::general);
 }
 
+TEST(ShardDriver, BudgetsBelowTheFloorPlanFloorSizedShards) {
+  // A budget at or below the scratch model's fixed cost is planned as if
+  // it were twice that cost. Greedy grouping closes a shard only when the
+  // next bin would overflow the packing target, so every two neighbouring
+  // shards hold more than one target: at most ⌈2n / target⌉ shards, where
+  // the parent cut one shard per prefix bin (2,851 on 10^6 records).
+  for (size_t n : {size_t{120000}, size_t{1000000}}) {
+    auto in = generate_records(n, {distribution_kind::exponential, n / 1000},
+                               12);
+    semisort_params params;
+    semisort_plan probe;
+    internal::init_plan_binding(probe, n, sizeof(record), params);
+    internal::scratch_model model{params, probe.pool_workers, probe.scatter};
+    size_t cap = model.records_for_budget(model.budget_floor(), sizeof(record));
+    size_t target = cap - cap / 8;
+    for (size_t budget : {size_t{1} << 10, size_t{512} << 10,
+                          size_t{1} << 20}) {
+      params.memory_budget_bytes = budget;
+      semisort_plan plan = plan_semisort_hashed(std::span<const record>(in),
+                                                record_key{}, params);
+      EXPECT_EQ(plan.shards.shard_record_cap, cap) << n << " " << budget;
+      EXPECT_GE(plan.num_shards(), 2u) << n << " " << budget;
+      EXPECT_LE(plan.num_shards(), (2 * n + target - 1) / target)
+          << n << " " << budget;
+
+      std::vector<record> out(n);
+      semisort_stats stats;
+      params.stats = &stats;
+      semisort_hashed(std::span<const record>(in), std::span<record>(out),
+                      record_key{}, params);
+      params.stats = nullptr;
+      EXPECT_EQ(stats.shards, plan.num_shards());
+      expect_equivalent(out, in);
+    }
+  }
+}
+
 TEST(ShardDriver, TimingsCoverDriverPhases) {
   auto in = generate_records(120000, {distribution_kind::uniform, 1u << 24}, 10);
   std::vector<record> out(in.size());
@@ -202,7 +254,8 @@ TEST(ShardDriver, TimingsCoverDriverPhases) {
   semisort_params params;
   params.timings = &pt;
   params.memory_budget_bytes =
-      scratch_model{}.footprint_bytes(in.size(), sizeof(record)) / 6;
+      internal::scratch_model{}.footprint_bytes(in.size(), sizeof(record)) /
+      6;
   semisort_hashed(std::span<const record>(in), std::span<record>(out),
                   record_key{}, params);
   std::vector<std::string> names;

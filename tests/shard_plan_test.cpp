@@ -1,4 +1,5 @@
-// Tests for shard/shard_plan.h: the budget → shard-count sizing model,
+// Tests for shard/shard_plan.h and the planner's scratch model
+// (core/planner.h): the budget → shard-count sizing model,
 // greedy bin grouping over synthetic histograms (balanced, skewed, empty
 // bins), and the sampled planner over real record arrays.
 #include <gtest/gtest.h>
@@ -7,6 +8,7 @@
 #include <span>
 #include <vector>
 
+#include "core/planner.h"
 #include "hashing/hash64.h"
 #include "shard/shard_plan.h"
 #include "workloads/distributions.h"
@@ -16,7 +18,7 @@ namespace parsemi {
 namespace {
 
 TEST(ScratchModel, EstimateScalesWithRecords) {
-  scratch_model m;
+  internal::scratch_model m;
   EXPECT_GT(m.estimate_bytes(0, 16), 0u);  // fixed overhead
   EXPECT_GT(m.estimate_bytes(1 << 20, 16), m.estimate_bytes(1 << 10, 16));
   EXPECT_GT(m.footprint_bytes(1 << 20, 16),
@@ -24,7 +26,7 @@ TEST(ScratchModel, EstimateScalesWithRecords) {
 }
 
 TEST(ScratchModel, RecordsForBudgetInvertsFootprint) {
-  scratch_model m;
+  internal::scratch_model m;
   size_t budget = 256 << 20;
   size_t r = m.records_for_budget(budget, 16);
   EXPECT_GT(r, 0u);
@@ -33,6 +35,23 @@ TEST(ScratchModel, RecordsForBudgetInvertsFootprint) {
   EXPECT_GT(m.footprint_bytes(r + r / 100 + 2, 16), budget);
   // A budget below the fixed overhead fits nothing.
   EXPECT_EQ(m.records_for_budget(1024, 16), 0u);
+}
+
+TEST(ScratchModel, BudgetBelowTheFloorGetsTheFloorsCapacity) {
+  // Any budget at or below twice the model's fixed cost gets the floor's
+  // shard capacity: no one-record capacity, no thousands of shards.
+  internal::scratch_model model;
+  size_t floor = model.budget_floor();
+  size_t cap = model.records_for_budget(floor, sizeof(record));
+  EXPECT_GT(cap, 0u);
+  for (size_t budget : {size_t{0}, size_t{1} << 10, model.fixed_bytes(),
+                        floor - 1, floor})
+    EXPECT_EQ(model.shard_capacity(budget, sizeof(record)), cap) << budget;
+  EXPECT_GT(model.shard_capacity(2 * floor, sizeof(record)), cap);
+  auto recs = generate_records(400000, {distribution_kind::uniform, 1u << 26}, 4);
+  auto plan = plan_shards(std::span<const record>(recs), record_key{}, cap);
+  EXPECT_EQ(plan.shard_record_cap, cap);
+  EXPECT_GE(plan.num_shards, 2u);
 }
 
 TEST(ChoosePrefixBits, ClampsToSensibleRange) {
@@ -105,23 +124,25 @@ TEST(GroupBins, EmptyBinsFoldIntoNeighbours) {
 
 TEST(PlanShards, HugeBudgetPlansSingleShard) {
   auto recs = generate_records(20000, {distribution_kind::uniform, 1u << 20}, 1);
-  scratch_model model;
-  auto plan = plan_shards(std::span<const record>(recs), record_key{},
-                          size_t{64} << 30, model);
+  internal::scratch_model model;
+  auto plan =
+      plan_shards(std::span<const record>(recs), record_key{},
+                  model.shard_capacity(size_t{64} << 30, sizeof(record)));
   EXPECT_EQ(plan.num_shards, 1u);
 }
 
 TEST(PlanShards, TightBudgetPlansManyBoundedShards) {
-  auto recs = generate_records(200000, {distribution_kind::uniform, 1u << 26}, 2);
-  scratch_model model;
-  // An eighth of the *variable* footprint on top of the fixed scratch
-  // floor: a budget below the floor degrades to best-effort max sharding
-  // (cap 1), where the `est <= cap` packing invariant cannot hold.
-  size_t variable =
-      model.footprint_bytes(recs.size(), sizeof(record)) - model.fixed_bytes;
-  size_t budget = model.fixed_bytes + variable / 8;
-  auto plan = plan_shards(std::span<const record>(recs), record_key{}, budget,
-                          model);
+  auto recs = generate_records(600000, {distribution_kind::uniform, 1u << 26}, 2);
+  internal::scratch_model model;
+  // An eighth of the footprint above the planner's floor (twice the
+  // model's fixed cost), on top of the floor: a budget below it is planned
+  // as the floor, whose shards hold tens of thousands of records, so the
+  // input must be large enough to need more than four of them.
+  size_t floor = model.budget_floor();
+  size_t budget =
+      floor + (model.footprint_bytes(recs.size(), sizeof(record)) - floor) / 8;
+  auto plan = plan_shards(std::span<const record>(recs), record_key{},
+                          model.shard_capacity(budget, sizeof(record)));
   EXPECT_GT(plan.num_shards, 4u);
   EXPECT_GT(plan.prefix_bits, 0);
   EXPECT_GT(plan.shard_record_cap, 0u);
@@ -137,22 +158,25 @@ TEST(PlanShards, TightBudgetPlansManyBoundedShards) {
 TEST(PlanShards, SingleDominantKeyCannotSplit) {
   // Every record carries the same key → one prefix bin holds everything →
   // the plan degenerates to one shard (the driver then runs in-memory).
-  std::vector<record> recs(50000, record{hash64(7), 0});
-  scratch_model model;
+  // The input is larger than the floor's shard capacity, so one shard is
+  // forced by the key, not by a budget that fits everything.
+  std::vector<record> recs(200000, record{hash64(7), 0});
+  internal::scratch_model model;
   size_t budget = model.footprint_bytes(recs.size(), sizeof(record)) / 8;
-  auto plan = plan_shards(std::span<const record>(recs), record_key{}, budget,
-                          model);
+  ASSERT_LT(model.records_for_budget(model.budget_floor(), sizeof(record)),
+            recs.size());
+  auto plan = plan_shards(std::span<const record>(recs), record_key{},
+                          model.shard_capacity(budget, sizeof(record)));
   EXPECT_EQ(plan.num_shards, 1u);
 }
 
 TEST(PlanShards, DeterministicForSameInput) {
   auto recs = generate_records(100000, {distribution_kind::zipfian, 5000}, 3);
-  scratch_model model;
+  internal::scratch_model model;
   size_t budget = model.footprint_bytes(recs.size(), sizeof(record)) / 4;
-  auto a = plan_shards(std::span<const record>(recs), record_key{}, budget,
-                       model);
-  auto b = plan_shards(std::span<const record>(recs), record_key{}, budget,
-                       model);
+  size_t cap = model.shard_capacity(budget, sizeof(record));
+  auto a = plan_shards(std::span<const record>(recs), record_key{}, cap);
+  auto b = plan_shards(std::span<const record>(recs), record_key{}, cap);
   EXPECT_EQ(a.num_shards, b.num_shards);
   EXPECT_EQ(a.prefix_bits, b.prefix_bits);
   EXPECT_EQ(a.bin_to_shard, b.bin_to_shard);

@@ -1,11 +1,14 @@
 // Tests for shard/spill_file.h: data round-trips through the mapping, the
 // backing temp file is unlinked immediately (nothing left behind by name),
 // its blocks are reserved at creation (so a full disk is an exception, not
-// SIGBUS), no file descriptors leak, and RAII unmaps on every path out of
-// a scope — including exception unwinding.
+// SIGBUS), a run that fits in free memory is resident at creation, the
+// cgroup memory room that gates it is read from both hierarchies, no file
+// descriptors leak, and RAII unmaps on every path out of a scope —
+// including exception unwinding.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
+#include <sys/mman.h>
 #include <sys/resource.h>
 #include <sys/stat.h>
 #include <sys/statvfs.h>
@@ -15,10 +18,13 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "shard/spill_file.h"
 
@@ -75,6 +81,76 @@ TEST_F(SpillFileTest, DataRoundTrips) {
   for (size_t i = 0; i < words.size(); i += 997) {
     ASSERT_EQ(words[i], 7 + i) << i;
   }
+}
+
+TEST_F(SpillFileTest, RunThatFitsInFreeMemoryIsResidentAtCreation) {
+  // The driver's partition writes every byte of the run, so a run that
+  // fits in free memory is pre-faulted when it is created: every page of
+  // the mapping is resident before anything touches it.
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  const size_t bytes = size_t{4} << 20;
+  ASSERT_LT(bytes, static_cast<size_t>(sysconf(_SC_AVPHYS_PAGES)) * page);
+  ASSERT_LT(bytes, internal::cgroup_memory_room());
+  {
+    // Kernels before 5.14 have no MADV_POPULATE_WRITE; the run then
+    // faults lazily, as it did before.
+    void* probe = mmap(nullptr, page, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    ASSERT_NE(probe, MAP_FAILED);
+    bool supported = madvise(probe, page, MADV_POPULATE_WRITE) == 0;
+    munmap(probe, page);
+    if (!supported) GTEST_SKIP() << "kernel lacks MADV_POPULATE_WRITE";
+  }
+  spill_file f(bytes);
+  ASSERT_TRUE(f.valid());
+  std::vector<unsigned char> resident(bytes / page);
+  ASSERT_EQ(mincore(f.data(), bytes, resident.data()), 0);
+  size_t in_core = 0;
+  for (unsigned char r : resident) in_core += r & 1;
+  EXPECT_EQ(in_core, resident.size());
+}
+
+// Writes `text` to `path`, creating its directory.
+void write_file(const std::filesystem::path& path, const std::string& text) {
+  std::filesystem::create_directories(path.parent_path());
+  std::ofstream(path) << text;
+}
+
+TEST(CgroupMemoryRoom, LeastRoomOverEveryLevelOfBothHierarchies) {
+  char tmpl[] = "/tmp/parsemi-cgroup-test-XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl), nullptr);
+  const std::filesystem::path root = tmpl;
+  const std::string self = (root / "self").string();
+  const std::string mount = (root / "fs").string();
+  auto room = [&] { return internal::cgroup_memory_room(self.c_str(), mount); };
+
+  // No cgroup list: nothing limits the run.
+  EXPECT_EQ(room(), SIZE_MAX);
+
+  // v2: the process's own group sets no limit, its parent leaves 600,000
+  // bytes, and the mount's root has no memory files.
+  write_file(root / "self", "0::/a/b\n");
+  write_file(root / "fs/a/b/memory.max", "max\n");
+  write_file(root / "fs/a/b/memory.current", "100\n");
+  write_file(root / "fs/a/memory.max", "1000000\n");
+  write_file(root / "fs/a/memory.current", "400000\n");
+  EXPECT_EQ(room(), 600000u);
+
+  // A v1 memory hierarchy next to it, with less room at its root; other v1
+  // controllers are not read.
+  write_file(root / "self", "0::/a/b\n7:cpu:/a\n4:memory:/x\n");
+  write_file(root / "fs/memory/x/memory.limit_in_bytes",
+             "9223372036854771712\n");
+  write_file(root / "fs/memory/x/memory.usage_in_bytes", "5\n");
+  write_file(root / "fs/memory/memory.limit_in_bytes", "700000\n");
+  write_file(root / "fs/memory/memory.usage_in_bytes", "200000\n");
+  EXPECT_EQ(room(), 500000u);
+
+  // Usage past a limit leaves no room.
+  write_file(root / "fs/a/b/memory.max", "50\n");
+  EXPECT_EQ(room(), 0u);
+
+  std::filesystem::remove_all(root);
 }
 
 TEST_F(SpillFileTest, FileIsUnlinkedWhileAlive) {

@@ -741,12 +741,12 @@ void check_spill_lifetime(const unit& u, const func_entry& fe,
           from_line = d.from_line;
         }
       }
+      // Ctor-form and typed bindings declare here; a bare `sp = …`
+      // re-points a span declared in an outer block, so the view must
+      // survive this block's close (0 = function scope when unknown).
+      bool is_decl = rhs_hi != hi || eq >= lo + 2;
+      auto prev = derived.find(bound);
       if (!src_owner.empty()) {
-        // Ctor-form and typed bindings declare here; a bare `sp = …`
-        // re-points a span declared in an outer block, so the view must
-        // survive this block's close (0 = function scope when unknown).
-        bool is_decl = rhs_hi != hi || eq >= lo + 2;
-        auto prev = derived.find(bound);
         derived_info d;
         d.owner = src_owner;
         d.from_line = from_line;
@@ -754,8 +754,13 @@ void check_spill_lifetime(const unit& u, const func_entry& fe,
                        : prev != derived.end() ? prev->second.decl_depth
                                                : 0;
         derived[bound] = d;
-      } else if (derived.count(bound)) {
-        derived.erase(bound);  // rebound to something unrelated
+      } else if (prev != derived.end() &&
+                 (is_decl ||
+                  depth <= std::max(prev->second.decl_depth, 1))) {
+        // Rebound to something unrelated. A bare rebinding in a block
+        // nested deeper than the span's declaration (one branch of an
+        // if/else) may not run, so there the taint stays: a may-analysis.
+        derived.erase(prev);
       }
     }
   }
@@ -789,17 +794,17 @@ void check_pool_routing(const std::vector<unit>& units,
     const func_entry& fe = idx.functions[fi];
     if (!pool_routing_scope(fe.file)) continue;
 
-    // Direct default_pool() grab: flagged at each call site. Lambdas are
-    // covered by their enclosing function's body range; identical findings
-    // from both walks collapse in the final dedupe.
+    // Direct default_pool() grab, bare or qualified (outside the scheduler
+    // only `worker_pool::default_pool()` compiles): flagged at each call
+    // site. Lambdas are covered by their enclosing function's body range;
+    // identical findings from both walks collapse in the final dedupe.
     if (fe.calls_default_pool) {
       auto lit = lex_of.find(fe.file);
       if (lit != lex_of.end()) {
         const auto& toks = lit->second->tokens;
         for (size_t k = fe.body_open + 1; k + 1 < fe.body_close; ++k) {
           if (is_ident(toks[k]) && toks[k].text == "default_pool" &&
-              is(toks[k + 1], "(") &&
-              !(k > 0 && is(toks[k - 1], "::"))) {
+              is(toks[k + 1], "(")) {
             out.push_back(
                 {rule::pool_routing, fe.file, toks[k].line,
                  "default_pool() grabbed directly — accept a worker_pool& "
